@@ -30,12 +30,8 @@ import sys
 import time
 from pathlib import Path
 
-import pytest
-
-from repro.parallel import effective_cpu_count
 from repro.plancache import PLAN_CACHE, orbit_signature
-from repro.service import ServiceClient, ShardManager, SortingService
-from repro.service.router import ShardRouter
+from repro.service import ServiceClient, SortingService
 
 SEED = 1992
 N = 5
@@ -274,11 +270,7 @@ class TestServiceLoad:
             assert len(TENANTS) >= 2
 
 
-# -- sharded deployment ------------------------------------------------------
-
-STREAM_KEYS = 8192   # byte-identity probe job
-STREAM_SEED = 77
-
+# -- streamed result memory profile ------------------------------------------
 
 def _expected_sha(keys: int, seed: int) -> str:
     import numpy as np
@@ -287,133 +279,6 @@ def _expected_sha(keys: int, seed: int) -> str:
     data = np.sort(rng.integers(0, 10**6, size=keys).astype(float))
     return hashlib.sha256(data.tobytes()).hexdigest()
 
-
-async def _run_sharded_load(shards: int, jobs_per_tenant: int,
-                            tenants: int, keys: int) -> dict:
-    """Drive a real N-shard deployment at full depth; return the record."""
-    manager = ShardManager(shards)
-    await manager.start()
-    router = ShardRouter(manager.shards, gossip_interval=0.0)
-    await router.start()
-    server = await router.start_tcp()
-    port = server.sockets[0].getsockname()[1]
-    names = [f"tenant-{i}" for i in range(tenants)]
-    clients = {t: await ServiceClient.connect(port=port) for t in names}
-    ops = await ServiceClient.connect(port=port)
-    try:
-        t0 = time.perf_counter()
-        acks = []
-        for j in range(jobs_per_tenant):
-            for t in names:
-                ack = await clients[t].submit(
-                    {"kind": "sort", "n": N, "keys": keys, "seed": j},
-                    tenant=t, retry=True)
-                assert ack["ok"], ack
-                acks.append((t, ack["job_id"]))
-        results = [await clients[t].result(jid) for t, jid in acks]
-        wall = time.perf_counter() - t0
-        assert all(r["ok"] and r["result"]["verified"] for r in results)
-        # Byte-identity probe: one streamed sort, hashed frame by frame.
-        probe = await ops.submit(
-            {"kind": "sort", "n": N, "keys": STREAM_KEYS,
-             "seed": STREAM_SEED, "stream": True}, tenant="probe")
-        assert probe["ok"], probe
-        sha = hashlib.sha256()
-        async for chunk in ops.iter_result(probe["job_id"]):
-            sha.update(chunk.tobytes())
-        drained = await ops.drain()
-        return {
-            "jobs": len(acks),
-            "wall": wall,
-            "jobs_per_sec": len(acks) / wall,
-            "drained": drained,
-            "stream_sha256": sha.hexdigest(),
-        }
-    finally:
-        for c in (*clients.values(), ops):
-            await c.close()
-        server.close()
-        await server.wait_closed()
-        await router.aclose()
-        await manager.stop()
-
-
-class TestShardedThroughput:
-    """N-shard scaling, zero-loss drain, byte identity across shard counts.
-
-    Writes the ``sharding`` section of ``BENCH_service.json``.  The 2.5x
-    jobs/sec floor at 4 shards needs 4 CPUs to mean anything, so the
-    assertion is gated — and the gate's verdict (``asserted`` /
-    ``skip_reason``) is recorded, never silent.  The functional
-    guarantees (drain loses nothing, streamed bytes identical at every
-    shard count) are asserted in every mode.
-    """
-
-    def test_shard_scaling_drain_and_identity(self, fast_mode, bench_json):
-        cpus = effective_cpu_count()
-        many = 4 if cpus >= 4 else 2
-        jobs_per_tenant, tenants = (3, 2) if fast_mode else (12, 4)
-        keys = 2048 if fast_mode else 8192
-        asserted = (not fast_mode) and cpus >= 4
-        skip_reason = None
-        if fast_mode:
-            skip_reason = "fast mode: smoke workload too small for a " \
-                          "stable throughput floor"
-        elif cpus < 4:
-            skip_reason = f"requires >= 4 CPUs, host has {cpus}"
-
-        single = asyncio.run(_run_sharded_load(1, jobs_per_tenant,
-                                               tenants, keys))
-        multi = asyncio.run(_run_sharded_load(many, jobs_per_tenant,
-                                              tenants, keys))
-        speedup = multi["jobs_per_sec"] / single["jobs_per_sec"]
-        expected = _expected_sha(STREAM_KEYS, STREAM_SEED)
-        identical = (single["stream_sha256"] == expected
-                     and multi["stream_sha256"] == expected)
-        section = {
-            "shard_counts": [1, many],
-            "jobs_total": single["jobs"] + multi["jobs"],
-            "tenants": tenants,
-            "keys": keys,
-            "jobs_per_sec": {"1": round(single["jobs_per_sec"], 1),
-                             str(many): round(multi["jobs_per_sec"], 1)},
-            "speedup": round(speedup, 3),
-            "target": 2.5,
-            "target_met": speedup >= 2.5,
-            "asserted": asserted,
-            "skip_reason": skip_reason,
-            "cpu_count": os.cpu_count() or 1,
-            "effective_cpu_count": cpus,
-            "fast_mode": fast_mode,
-            "drain": {
-                "shards": many,
-                "completed": multi["drained"]["completed"],
-                "failed": multi["drained"]["failed"],
-                "lost": (single["jobs"] + 1) - single["drained"]["completed"]
-                        + (multi["jobs"] + 1) - multi["drained"]["completed"],
-            },
-            "byte_identical_across_shard_counts": identical,
-        }
-        bench_json("service", "sharding", section)
-        print(f"\nsharding: {single['jobs_per_sec']:.1f} jobs/s at 1 shard "
-              f"vs {multi['jobs_per_sec']:.1f} at {many} ({speedup:.2f}x, "
-              f"{cpus} CPUs)"
-              + (f" [floor not asserted: {skip_reason}]" if skip_reason
-                 else ""))
-        # The hard guarantees hold in every mode.
-        assert section["drain"]["lost"] == 0
-        assert multi["drained"]["shards"] == many
-        assert identical, "streamed bytes diverged across shard counts"
-        if asserted:
-            assert speedup >= 2.5, (
-                f"expected >=2.5x jobs/sec at {many} shards on {cpus} "
-                f"CPUs, got {speedup:.2f}x")
-        elif skip_reason and not fast_mode:
-            pytest.skip(f"shard throughput floor not checkable: "
-                        f"{skip_reason}")
-
-
-# -- streamed result memory profile ------------------------------------------
 
 _CLIENT_SCRIPT = """\
 import asyncio, base64, hashlib, json, resource, sys, tracemalloc

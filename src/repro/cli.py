@@ -13,7 +13,7 @@ Subcommands::
     repro table2  [--trials N]
     repro figure7 --n 6 [--points P]
     repro serve   [--port 0] [--jobs J] [--batch-max B] [--stdio]
-                  [--shards N] [--tenant-rate R] [--tenant-max-inflight M]
+                  [--tenant-rate R] [--tenant-max-inflight M]
                   [--max-queued N] [--obs-out obs.json] [--port-file P]
     repro submit  --port P [--kind sort] --n 5 --faults 3,5 --count 20
                   [--tenants a,b] [--stream [--stream-transport shm]]
@@ -39,12 +39,11 @@ reference, ``compiled`` flat-array schedule programs; see
 docs/PERFORMANCE.md) — outputs and counts are identical.
 ``serve`` runs the sorting-as-a-service job server (JSONL over TCP, or
 stdin/stdout with ``--stdio``) until drained by SIGTERM/SIGINT or a client
-``drain``; ``--shards N`` runs N backend server processes behind a
-consistent-hash tenant router with plan-cache gossip (docs/SERVICE.md,
-"Sharding & streaming").  ``submit`` is the matching client — it submits
-``--count`` jobs round-robin across ``--tenants``, waits for every result
-(``--stream`` consumes sorted arrays as checksummed frames instead of
-inline results), and prints a latency/throughput summary.
+``drain``; run one per host and widen it with ``--jobs`` (docs/SERVICE.md).
+``submit`` is the matching client — it submits ``--count`` jobs
+round-robin across ``--tenants``, waits for every result (``--stream``
+consumes sorted arrays as checksummed frames instead of inline results),
+and prints a latency/throughput summary.
 """
 
 from __future__ import annotations
@@ -331,36 +330,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             with open(args.port_file, "w", encoding="utf-8") as fh:
                 fh.write(f"{port}\n")
 
-    if args.shards < 1:
-        raise SystemExit("repro: --shards must be >= 1")
-    if args.shards > 1:
-        if args.stdio:
-            raise SystemExit("repro: --shards requires TCP (drop --stdio)")
-        from repro.service import serve_sharded
-
-        router = asyncio.run(serve_sharded(
-            shards=args.shards,
-            host=args.host,
-            port=args.port,
-            ready=ready,
-            shards_file=args.shards_file,
-            jobs=args.jobs,
-            executor=args.executor,
-            batch_max=args.batch_max,
-            max_queued=args.max_queued,
-            max_queued_per_tenant=args.max_queued_per_tenant,
-            tenant_rate=args.tenant_rate,
-            tenant_burst=args.tenant_burst,
-            tenant_max_inflight=args.tenant_max_inflight,
-        ))
-        m = router.metrics
-        print(f"repro service: drained {args.shards} shard(s) "
-              f"(routed={int(m.value('router.submitted'))} "
-              f"completed={int(m.value('router.completed'))} "
-              f"failovers={int(m.value('router.failovers'))})",
-              file=sys.stderr, flush=True)
-        return 0
-
     from repro.parallel import jobs_from_env, resolve_jobs
     from repro.service import serve as serve_service
 
@@ -607,13 +576,6 @@ def main(argv: list[str] | None = None) -> int:
                          help="write a metrics/plan-cache JSON snapshot on drain")
     p_serve.add_argument("--port-file", type=str, default=None,
                          help="write the bound TCP port to this file (CI)")
-    p_serve.add_argument("--shards", type=int, default=1,
-                         help="run N backend shard processes behind a "
-                              "consistent-hash router (default: 1 = plain "
-                              "single server; requires TCP)")
-    p_serve.add_argument("--shards-file", type=str, default=None,
-                         help="write the shard topology (ids/pids/ports) as "
-                              "JSON once up (CI)")
     p_serve.add_argument("--tenant-rate", type=float, default=None,
                          help="per-tenant admission rate in jobs/sec "
                               "(default: unlimited)")

@@ -67,7 +67,6 @@ __all__ = [
     "resolve_executor",
     "resolve_jobs",
     "run_tasks",
-    "shard_slice",
     "shutdown_pool",
     "warm_pool",
     "warm_thread_pool",
@@ -109,29 +108,10 @@ def effective_cpu_count() -> int:
     return os.cpu_count() or 1
 
 
-def shard_slice() -> int:
-    """How many sibling shard processes share this machine (>= 1).
-
-    The shard manager exports ``REPRO_SHARD_COUNT`` to every shard it
-    spawns; ``--jobs auto`` inside a shard divides the machine by it so N
-    shards size N pools to *their slice* of the CPUs instead of each
-    claiming all of them (N x oversubscription thrashes the very caches
-    sharding exists to keep warm).  Absent or malformed means standalone:
-    slice of 1.
-    """
-    raw = os.environ.get("REPRO_SHARD_COUNT", "")
-    try:
-        count = int(raw)
-    except ValueError:
-        return 1
-    return max(1, count)
-
-
 def resolve_jobs(jobs: int | str | None) -> int:
     """Normalize a ``--jobs`` value: ``None``/``0``/``"auto"`` means all
-    *usable* CPUs (:func:`effective_cpu_count`, affinity-aware, divided
-    across sibling shards per :func:`shard_slice`), else as given.
-    Strings are accepted so CLI flags and environment variables
+    *usable* CPUs (:func:`effective_cpu_count`, affinity-aware), else as
+    given.  Strings are accepted so CLI flags and environment variables
     (``REPRO_JOBS``) share one parser."""
     if isinstance(jobs, str):
         text = jobs.strip().lower()
@@ -145,7 +125,7 @@ def resolve_jobs(jobs: int | str | None) -> int:
                     f"jobs must be an integer or 'auto', got {text!r}"
                 ) from None
     if jobs is None or jobs == 0:
-        return max(1, effective_cpu_count() // shard_slice())
+        return effective_cpu_count()
     if jobs < 0:
         raise ValueError(f"jobs must be >= 0, got {jobs}")
     return jobs

@@ -67,10 +67,6 @@ _SECTIONS = ("plan", "canon", "sched", "routes", "nominal", "compiled")
 #: Sentinel distinguishing "no entry" from a cached ``None``.
 _MISS = object()
 
-#: Bound on the orbit-entry gossip log (oldest entries drop first; export
-#: cursors stay valid via a dropped-count offset).
-ORBIT_LOG_MAX = 4096
-
 
 class PlanCache:
     """LRU-evicting memo store with per-section hit/miss/eviction counters.
@@ -93,8 +89,6 @@ class PlanCache:
         self.misses = {s: 0 for s in _SECTIONS}
         self.evictions = 0
         self.canonicalizations = 0
-        self._orbit_log: list[dict] = []
-        self._orbit_dropped = 0
 
     # -- configuration -----------------------------------------------------
 
@@ -116,8 +110,6 @@ class PlanCache:
         with self._lock:
             self._store.clear()
             self._sigs.clear()
-            self._orbit_log.clear()
-            self._orbit_dropped = 0
             if reset_counters:
                 self.hits = {s: 0 for s in _SECTIONS}
                 self.misses = {s: 0 for s in _SECTIONS}
@@ -200,78 +192,6 @@ class PlanCache:
                 self._sigs.popitem(last=False)
             return count
 
-    # -- orbit-entry gossip ------------------------------------------------
-    #
-    # Orbit-keyed plan entries — ``("plan", ("orbit", n, canon)) ->
-    # (mincut, Ψ, costs)`` — are the one cache section worth shipping
-    # between processes: they are expensive (the DFS + per-sequence Eq.-(1)
-    # costs, computed once per automorphism orbit), pure values (ints and
-    # int tuples, hence JSON-clean), and universally replayable (every
-    # shard replays them through its own inverse transform).  Each compute
-    # appends a serializable record to an append-only log; exporters walk
-    # it with a cursor, importers install entries idempotently *and* seed
-    # the orbit-signature sighting count so the very first local sighting
-    # of an imported orbit takes the canonical path and hits the entry
-    # (instead of re-planning directly under lazy canonicalization).
-
-    def record_orbit_entry(self, n, canon, mincut, psi, costs) -> None:
-        """Log one freshly computed orbit entry for export (JSON-ready)."""
-        entry = {
-            "n": int(n),
-            "canon": [int(a) for a in canon],
-            "mincut": int(mincut),
-            "psi": [[int(d) for d in seq] for seq in psi],
-            "costs": [int(c) for c in costs],
-        }
-        with self._lock:
-            self._orbit_log.append(entry)
-            while len(self._orbit_log) > ORBIT_LOG_MAX:
-                self._orbit_log.pop(0)
-                self._orbit_dropped += 1
-
-    def export_orbit_entries(self, cursor: int = 0) -> tuple[list[dict], int]:
-        """Entries logged since ``cursor``; returns ``(entries, new_cursor)``."""
-        with self._lock:
-            idx = max(0, int(cursor) - self._orbit_dropped)
-            entries = [dict(e) for e in self._orbit_log[idx:]]
-            return entries, self._orbit_dropped + len(self._orbit_log)
-
-    def import_orbit_entries(self, entries) -> int:
-        """Install gossiped orbit entries; returns how many were new.
-
-        Malformed entries are skipped (gossip peers are same-version but
-        the wire is JSON — be strict anyway).  New entries re-enter this
-        process's log so gossip is transitive: worker -> shard server ->
-        router -> every other shard.
-        """
-        if not self.enabled:
-            return 0
-        imported = 0
-        for raw in entries or ():
-            try:
-                n = int(raw["n"])
-                canon = tuple(int(a) for a in raw["canon"])
-                mincut = int(raw["mincut"])
-                psi = tuple(tuple(int(d) for d in seq) for seq in raw["psi"])
-                costs = tuple(int(c) for c in raw["costs"])
-            except (KeyError, TypeError, ValueError):
-                continue
-            sig = orbit_signature(n, canon)
-            key = ("plan", ("orbit", n, canon))
-            with self._lock:
-                if key in self._store:
-                    continue
-                self._store[key] = (mincut, psi, costs)
-                self._store.move_to_end(key)
-                while len(self._store) > self.capacity:
-                    self._store.popitem(last=False)
-                    self.evictions += 1
-                self._sigs[sig] = max(self._sigs.get(sig, 0), 2)
-                self._sigs.move_to_end(sig)
-            self.record_orbit_entry(n, canon, mincut, psi, costs)
-            imported += 1
-        return imported
-
     # -- reporting ---------------------------------------------------------
 
     @property
@@ -291,7 +211,6 @@ class PlanCache:
             "evictions": self.evictions,
             "canonicalizations": self.canonicalizations,
             "signatures": len(self._sigs),
-            "orbit_log": len(self._orbit_log) + self._orbit_dropped,
         }
 
     def summary(self) -> str:
@@ -425,20 +344,15 @@ def plan_with_cache(n: int, faults):
 
     canon, tf = _canonical(n, procs)
 
-    # get/put instead of memo: a fresh orbit entry must also be logged for
-    # the gossip tier (record_orbit_entry), which memo's opaque compute
-    # callback can't signal.
-    orbit_key = ("orbit", n, canon)
-    cached = PLAN_CACHE.get("plan", orbit_key)
-    if cached is _MISS:
+    def plan_orbit():
         canon_part = find_min_cuts(n, canon)
         costs = tuple(
             extra_comm_cost(n, dims, canon) for dims in canon_part.cutting_set
         )
-        cached = (canon_part.mincut, canon_part.cutting_set, costs)
-        PLAN_CACHE.put("plan", orbit_key, cached)
-        PLAN_CACHE.record_orbit_entry(n, canon, *cached)
-    mincut, canon_psi, costs = cached
+        return canon_part.mincut, canon_part.cutting_set, costs
+
+    mincut, canon_psi, costs = PLAN_CACHE.memo(
+        "plan", ("orbit", n, canon), plan_orbit)
 
     pairs = sorted(
         (tuple(sorted(tf.dim_to_real(d) for d in seq)), cost)

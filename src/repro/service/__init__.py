@@ -1,10 +1,9 @@
-"""repro.service: sorting-as-a-service job server (S28, sharded in S30).
+"""repro.service: sorting-as-a-service job server (S28, streaming in S30).
 
 The package turns the library's one-shot entry points — fault-tolerant
 sorts, partition planning, chaos scenarios — into a long-lived multi-tenant
 job server sharing one warm worker pool and one process-wide plan cache
-across every client, and scales it horizontally as N such servers behind
-a consistent-hash tenant router:
+across every client, one server process per host:
 
 * :mod:`repro.service.protocol` — the JSONL wire protocol and
   :class:`JobSpec` validation (the admission boundary for untrusted input).
@@ -12,21 +11,16 @@ a consistent-hash tenant router:
   fair queueing with compatible-job batching, and the per-tenant
   :class:`TokenBucket` rate limiter.
 * :mod:`repro.service.jobs` — picklable job runners with per-job
-  plan-cache delta attribution and orbit-entry gossip piggybacking.
+  plan-cache delta attribution.
 * :mod:`repro.service.streams` — result streaming: frame planning,
   per-frame count/sum ABFT checksums, bounded-window flow control.
 * :mod:`repro.service.server` — the asyncio server: dispatchers, metrics,
   backpressure, arena-backed result streams, graceful drain (SIGTERM-safe).
 * :mod:`repro.service.client` — asyncio client used by ``repro submit``,
   the tests, and the load benchmark (jittered backoff, stream consumption).
-* :mod:`repro.service.shard` — shard subprocess lifecycle (spawn, ready,
-  drain, crash reclamation of shm segments by name prefix).
-* :mod:`repro.service.router` — the ``--shards N`` front end: consistent-
-  hash tenant placement, zero-copy stream relay, shard failover, orbit
-  gossip between shard-local plan caches.
 
-CLI: ``repro serve [--shards N]`` / ``repro submit [--stream]``.  Protocol
-and operational semantics: docs/SERVICE.md.
+CLI: ``repro serve`` / ``repro submit [--stream]``.  Protocol and
+operational semantics: docs/SERVICE.md.
 """
 
 from repro.service.client import ServiceClient
@@ -40,9 +34,7 @@ from repro.service.protocol import (
     encode,
 )
 from repro.service.queue import FairQueue, QueueFull, QueuedJob, TokenBucket
-from repro.service.router import HashRing, ShardRouter, serve_sharded
 from repro.service.server import SortingService, serve
-from repro.service.shard import ShardInfo, ShardManager
 from repro.service.streams import (
     StreamChecksumError,
     StreamError,
@@ -54,15 +46,11 @@ from repro.service.streams import (
 __all__ = [
     "JOB_KINDS",
     "FairQueue",
-    "HashRing",
     "JobSpec",
     "ProtocolError",
     "QueueFull",
     "QueuedJob",
     "ServiceClient",
-    "ShardInfo",
-    "ShardManager",
-    "ShardRouter",
     "SortingService",
     "StreamChecksumError",
     "StreamError",
@@ -75,6 +63,5 @@ __all__ = [
     "run_job",
     "run_job_batch",
     "serve",
-    "serve_sharded",
     "verify_frame",
 ]

@@ -81,7 +81,7 @@ class ServiceClient:
     async def connect(cls, host: str = "127.0.0.1", port: int = 0,
                       limit: int = 1 << 26,
                       jitter_seed: int | None = None) -> "ServiceClient":
-        """Connect to a server (or router).
+        """Connect to a server.
 
         ``limit`` raises asyncio's per-line buffer (default 64 KiB) far
         enough for the non-streamed baseline's giant inline-base64 result
@@ -138,8 +138,8 @@ class ServiceClient:
             state = self._streams.get(job_id)
             if state is not None:
                 # A streamed job that failed before its header (executor
-                # error, shard lost) answers with a plain result; the
-                # stream consumer surfaces it as the terminal message.
+                # error) answers with a plain result; the stream consumer
+                # surfaces it as the terminal message.
                 state.queue.put_nowait(("end", msg))
                 return
             waiter = self._waiters.pop(job_id, None)
@@ -254,7 +254,7 @@ class ServiceClient:
 
         Raises:
             StreamError: the stream ended abnormally (``retryable`` set
-                for shard loss / stall); StreamChecksumError on a frame
+                for a stall); StreamChecksumError on a frame
                 whose ABFT count/sum does not match its payload.
         """
         state = self._stream_state(job_id)
@@ -277,7 +277,7 @@ class ServiceClient:
                         yield chunk
                     continue
                 # kind == "end": result_end trailer, or a plain result
-                # (pre-stream failure / shard lost) acting as one.
+                # (pre-stream failure) acting as one.
                 self._stream_summaries[job_id] = msg
                 if msg.get("op") == "result_end" and msg.get("ok"):
                     await self._send({"op": "stream_done", "job_id": job_id})
@@ -310,7 +310,7 @@ class ServiceClient:
                 arena = arenas[ref.segment] = shm.Arena.attach(ref.segment)
             except (FileNotFoundError, OSError):
                 # The producer (or its sweeper) unlinked the segment under
-                # us — an aborted stream or a killed shard; resubmittable.
+                # us — an aborted stream; resubmittable.
                 raise StreamError({"error": "segment_gone",
                                    "seq": msg.get("seq"),
                                    "retryable": True}) from None

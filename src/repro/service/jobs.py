@@ -16,13 +16,6 @@ these deltas into per-tenant ``service.tenant.<t>.plancache.*`` counters:
 the cross-tenant sharing the cache exists for becomes directly observable
 as tenant B hitting on plans tenant A paid for.
 
-The batch runners also carry the orbit-entry gossip tier's traffic: any
-canonical plan a worker computes during the batch is drained from its
-cache log and attached to the batch result (``orbit_entries`` on the
-first payload), and entries gossiped *to* the server ride the next
-dispatch down so pool workers warm lazily.  Both directions are
-idempotent imports, so the piggyback needs no worker addressing.
-
 A failing job is a *result*, not a server error: the runner catches the
 exception and reports ``ok: false`` with the error repr, exactly like the
 chaos campaign's outcome convention.
@@ -39,17 +32,6 @@ from repro.plancache import PLAN_CACHE
 from repro.service.protocol import JobSpec
 
 __all__ = ["run_job", "run_job_batch", "run_job_batch_shm"]
-
-#: Export cursor into this process's PLAN_CACHE orbit log — everything
-#: before it has already been shipped to whoever dispatches to us.
-_orbit_cursor = 0
-
-
-def _drain_orbit_entries() -> list[dict]:
-    global _orbit_cursor
-    entries, _orbit_cursor = PLAN_CACHE.export_orbit_entries(_orbit_cursor)
-    return entries
-
 
 def _run_sort(spec: JobSpec) -> dict:
     from repro.core.ftsort import fault_tolerant_sort
@@ -155,28 +137,18 @@ def run_job(spec: JobSpec) -> dict:
     }
 
 
-def run_job_batch(specs: tuple[JobSpec, ...], orbit_entries=()) -> list[dict]:
+def run_job_batch(specs: tuple[JobSpec, ...]) -> list[dict]:
     """Execute a compatible batch back-to-back in one executor round-trip.
 
     The first job of a sort/plan batch pays the planning work; the rest
     replay it from the (by then warm) cache — their ``plancache`` deltas
-    show the hits.  ``orbit_entries`` (gossiped canonical plans riding
-    the dispatch) are imported first; any canonical plan computed *by*
-    this batch is drained and attached to the first payload as
-    ``orbit_entries`` for the dispatcher to propagate.
+    show the hits.
     """
-    if orbit_entries:
-        PLAN_CACHE.import_orbit_entries(orbit_entries)
-        _drain_orbit_entries()  # imports are not news to our dispatcher
-    payloads = [run_job(spec) for spec in specs]
-    fresh = _drain_orbit_entries()
-    if fresh and payloads:
-        payloads[0]["orbit_entries"] = fresh
-    return payloads
+    return [run_job(spec) for spec in specs]
 
 
-def run_job_batch_shm(specs: tuple[JobSpec, ...], name: str | None = None,
-                      orbit_entries=()) -> tuple:
+def run_job_batch_shm(specs: tuple[JobSpec, ...],
+                      name: str | None = None) -> tuple:
     """:func:`run_job_batch`, returning bulk payloads through a shm arena.
 
     Two callers: the server's ``executor="shm"`` tier (compact payloads —
@@ -191,5 +163,5 @@ def run_job_batch_shm(specs: tuple[JobSpec, ...], name: str | None = None,
     """
     from repro import shm
 
-    return shm.pack_results(run_job_batch(specs, orbit_entries),
+    return shm.pack_results(run_job_batch(specs),
                             name if name is not None else shm.make_name("svc"))

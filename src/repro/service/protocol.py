@@ -27,9 +27,10 @@ frame_ack    client -> server: ``{"op": "frame_ack", "job_id": "j3",
              of a streamed result (no reply)
 stream_done  client -> server: the stream was fully consumed; releases
              the server's arena read lease (no reply)
-orbit_pull   gossip tier: export plan-cache orbit entries past a cursor
-orbit_push   gossip tier: import plan-cache orbit entries from a peer
 ===========  =======================================================
+
+Any other ``op`` is answered ``bad_request``: no client can write into
+the server's plan cache, so one tenant cannot change another's plan.
 
 A job submitted with ``"stream": true`` answers not with one ``result``
 push but with a framed stream: ``result_header`` (frame count, dtype,

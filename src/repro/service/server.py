@@ -58,7 +58,6 @@ import re
 import signal
 import sys
 import time
-from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 
 from repro.obs import MetricsRegistry
@@ -174,8 +173,6 @@ class SortingService:
         stream_ack_timeout: seconds to wait for window space before a
             stream is declared stalled and aborted (keeps drain finite
             against a dead-but-connected consumer).
-        shard_id: label this process carries in stats/metrics when it
-            runs as one shard of a :mod:`repro.service.router` deployment.
         metrics: a :class:`repro.obs.MetricsRegistry` to report into (a
             fresh one by default; exposed as ``self.metrics``).
         obs_out: optional path — drain writes a JSON observability snapshot
@@ -196,7 +193,6 @@ class SortingService:
         stream_chunk: int = DEFAULT_CHUNK_KEYS,
         stream_window: int = DEFAULT_WINDOW,
         stream_ack_timeout: float = 30.0,
-        shard_id: str | None = None,
         metrics: MetricsRegistry | None = None,
         obs_out: str | None = None,
         log=None,
@@ -215,7 +211,6 @@ class SortingService:
         self.stream_chunk = int(stream_chunk)
         self.stream_window = int(stream_window)
         self.stream_ack_timeout = float(stream_ack_timeout)
-        self.shard_id = shard_id
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.obs_out = obs_out
         self.log = log if log is not None else (
@@ -259,12 +254,6 @@ class SortingService:
         self._tenant_inflight: dict[str, int] = {}
         self._streams: dict[str, _Stream] = {}
         self._stream_tasks: set[asyncio.Task] = set()
-        # Gossiped orbit entries waiting to ride dispatches down to pool
-        # workers: [entry, remaining rides] pairs (imports are idempotent,
-        # so over-delivery is harmless and addressing workers is not
-        # needed — ~2 rides per worker makes coverage overwhelmingly
-        # likely without unbounded repetition).
-        self._orbit_pending: deque = deque()
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -401,19 +390,6 @@ class SortingService:
             if state is not None:
                 state.release_lease()
             return None
-        if op == "orbit_pull":
-            cursor = msg.get("cursor", 0)
-            entries, new_cursor = PLAN_CACHE.export_orbit_entries(
-                cursor if isinstance(cursor, int) else 0)
-            self.metrics.inc("service.orbit.exported", len(entries))
-            return {"ok": True, "op": "orbit_entries", "id": rid,
-                    "entries": entries, "cursor": new_cursor}
-        if op == "orbit_push":
-            entries = msg.get("entries")
-            imported = self._import_orbit(
-                entries if isinstance(entries, list) else [])
-            return {"ok": True, "op": "orbit_imported", "id": rid,
-                    "imported": imported}
         return {"ok": False, "error": "bad_request", "id": rid,
                 "detail": f"unknown op {op!r}"}
 
@@ -512,38 +488,6 @@ class SortingService:
         backlog = self.queue.depth + self.in_flight
         return int(min(30_000, max(50.0, self._ema_run_ms * (backlog / width))))
 
-    # -- orbit gossip --------------------------------------------------------
-
-    def _import_orbit(self, entries: list) -> int:
-        """Install orbit entries (gossip push or worker delta) locally.
-
-        Imports land in this process's PLAN_CACHE (warming the inline and
-        thread tiers immediately) and, for process-pool tiers, queue up to
-        ride upcoming dispatches so pool workers warm lazily too.
-        """
-        imported = PLAN_CACHE.import_orbit_entries(entries)
-        if imported:
-            self.metrics.inc("service.orbit.imported", imported)
-            if self.executor_tier in ("process", "shm"):
-                rides = 2 * max(1, self._pool_workers)
-                for entry in entries:
-                    self._orbit_pending.append([entry, rides])
-        return imported
-
-    def _orbit_piggyback(self) -> list[dict]:
-        """Entries to attach to the next dispatch (decrements ride counts)."""
-        if not self._orbit_pending:
-            return []
-        out: list[dict] = []
-        keep: deque = deque()
-        while self._orbit_pending:
-            entry, rides = self._orbit_pending.popleft()
-            out.append(entry)
-            if rides > 1:
-                keep.append([entry, rides - 1])
-        self._orbit_pending = keep
-        return out
-
     # -- dispatch ------------------------------------------------------------
 
     async def _dispatch_loop(self) -> None:
@@ -562,7 +506,6 @@ class SortingService:
             has_stream = any(job.spec.stream for job in batch)
             use_arena = has_stream or self.executor_tier == "shm"
             arena_name = None
-            orbit_entries = self._orbit_piggyback()
             stream_refs: dict[str, object] = {}
             try:
                 if use_arena:
@@ -570,17 +513,13 @@ class SortingService:
 
                     arena_name = shm.make_name("svcres")
                     shm.register_name(arena_name)
-                    args = (specs, arena_name)
-                    if orbit_entries:
-                        args = args + (orbit_entries,)
                     tagged = await loop.run_in_executor(
-                        self._executor, run_job_batch_shm, *args)
+                        self._executor, run_job_batch_shm, specs, arena_name)
                     payloads, stream_refs = self._unpack_batch(
                         batch, tagged, arena_name)
                 else:
-                    args = (specs, orbit_entries) if orbit_entries else (specs,)
                     payloads = await loop.run_in_executor(
-                        self._executor, run_job_batch, *args)
+                        self._executor, run_job_batch, specs)
                     stream_refs = self._extract_stream_payloads(batch, payloads)
             except asyncio.CancelledError:
                 if arena_name is not None:
@@ -611,10 +550,6 @@ class SortingService:
                 self.metrics.inc("service.batched_jobs", len(batch) - 1)
             streams = 0
             for job, payload in zip(batch, payloads):
-                if isinstance(payload, dict):
-                    entries = payload.pop("orbit_entries", None)
-                    if entries:
-                        self._import_orbit(entries)
                 ref = stream_refs.get(job.job_id)
                 if ref is not None:
                     streams += 1
@@ -949,7 +884,7 @@ class SortingService:
             "rate_limited": int(
                 self.metrics.value("service.rejected.rate_limited")),
         }
-        out = {
+        return {
             "queue_depth": self.queue.depth,
             "in_flight": self.in_flight,
             "draining": self.draining,
@@ -972,16 +907,9 @@ class SortingService:
                 "aborted": int(self.metrics.value("service.stream.aborted")),
                 "open": len(self._streams),
             },
-            "orbit": {
-                "imported": int(self.metrics.value("service.orbit.imported")),
-                "exported": int(self.metrics.value("service.orbit.exported")),
-            },
             "tenants": self.tenant_stats(),
             "plancache": PLAN_CACHE.stats(),
         }
-        if self.shard_id is not None:
-            out["shard_id"] = self.shard_id
-        return out
 
 
 async def serve(

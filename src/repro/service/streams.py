@@ -52,11 +52,11 @@ STREAM_TRANSPORTS = ("binary", "shm")
 
 
 class StreamError(RuntimeError):
-    """A stream ended abnormally (shard died, stalled, server error).
+    """A stream ended abnormally (stalled, job failed, server error).
 
     Attributes:
         message: the terminating protocol message.
-        retryable: the server/router marked the failure safe to resubmit.
+        retryable: the server marked the failure safe to resubmit.
     """
 
     def __init__(self, message: dict):

@@ -87,7 +87,6 @@ __all__ = [
     "release_lease",
     "shm_available",
     "sweep",
-    "sweep_prefix",
     "sweep_registered",
     "unpack",
     "unpack_results",
@@ -122,18 +121,7 @@ def shm_available() -> bool:
 
 
 def make_name(tag: str) -> str:
-    """A fresh segment name: prefix [+ env tag] + creating PID + tag + counter.
-
-    ``REPRO_SHM_TAG`` (set by the shard manager for each shard process and
-    inherited by its pool workers) is folded in right after the prefix, so
-    every segment a shard — or anything it spawned — creates is reclaimable
-    by a ``sweep_prefix`` glob even after a ``kill -9`` that skipped the
-    process's own exit-time sweep.
-    """
-    env_tag = os.environ.get("REPRO_SHM_TAG", "")
-    env_tag = "".join(c for c in env_tag if c.isalnum() or c in "_-")
-    if env_tag:
-        return f"{ARENA_PREFIX}_{env_tag}_{os.getpid()}_{tag}_{next(_counter)}"
+    """A fresh segment name: prefix + creating PID + tag + counter."""
     return f"{ARENA_PREFIX}_{os.getpid()}_{tag}_{next(_counter)}"
 
 
@@ -194,26 +182,6 @@ def sweep(names) -> int:
 def sweep_registered() -> int:
     """Sweep every registered name (teardown / atexit hook)."""
     return sweep(registered_names())
-
-
-def sweep_prefix(prefix: str) -> int:
-    """Unlink every ``/dev/shm`` segment whose name starts with ``prefix``.
-
-    Crash cleanup: a process killed with SIGKILL never runs its exit-time
-    sweep, so its registry dies with it.  The shard manager instead derives
-    each shard's segment names from a ``REPRO_SHM_TAG`` it chose (see
-    :func:`make_name`) and globs the tag's prefix here when the shard
-    dies.  Only names under :data:`ARENA_PREFIX` may be swept; returns the
-    number of segments removed (0 where ``/dev/shm`` does not exist).
-    """
-    if not prefix.startswith(ARENA_PREFIX):
-        raise ValueError(
-            f"refusing to sweep outside {ARENA_PREFIX!r}: {prefix!r}")
-    try:
-        names = [n for n in os.listdir("/dev/shm") if n.startswith(prefix)]
-    except OSError:  # pragma: no cover - non-Linux platform
-        return 0
-    return sweep(names)
 
 
 #: Read leases on named segments: a streamed result's arena stays alive

@@ -88,33 +88,6 @@ class TestResolveJobs:
         assert jobs_from_env(1) == 2
 
 
-class TestShardSlice:
-    """`auto` jobs divide the machine by the exported shard count."""
-
-    def test_absent_or_malformed_means_standalone(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SHARD_COUNT", raising=False)
-        assert parallel.shard_slice() == 1
-        for bad in ("", "two", "1.5", "-3", "0"):
-            monkeypatch.setenv("REPRO_SHARD_COUNT", bad)
-            assert parallel.shard_slice() == 1
-
-    def test_exported_count_is_honored(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SHARD_COUNT", "4")
-        assert parallel.shard_slice() == 4
-
-    def test_auto_jobs_divide_by_the_slice(self, monkeypatch):
-        # effective_cpu_count is patched to 4 by the autouse fixture.
-        monkeypatch.setenv("REPRO_SHARD_COUNT", "2")
-        assert resolve_jobs("auto") == 2
-        monkeypatch.setenv("REPRO_SHARD_COUNT", "4")
-        assert resolve_jobs("auto") == 1
-        # More shards than CPUs still leaves every shard one worker.
-        monkeypatch.setenv("REPRO_SHARD_COUNT", "16")
-        assert resolve_jobs("auto") == 1
-        # Explicit worker counts are never divided: the operator said so.
-        assert resolve_jobs("3") == 3
-
-
 class TestResolveExecutor:
     def test_explicit_requests_honored_when_winnable(self):
         for tier in ("process", "thread", "shm"):

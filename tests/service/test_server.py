@@ -16,9 +16,12 @@ import threading
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import repro.service.server as server_mod
+from repro.core.ftsort import fault_tolerant_sort
+from repro.plancache import PLAN_CACHE
 from repro.service import ServiceClient, SortingService
 from repro.service.jobs import run_job_batch
 
@@ -118,6 +121,18 @@ class TestEndToEnd:
         asyncio.run(main())
 
     def test_malformed_requests_get_answers(self):
+        # A client must not be able to write into the shared plan cache:
+        # this entry is a valid but non-minimal 3-cut plan for the orbit
+        # of the Q5 faults {3, 12, 21}, whose minimum cut is 2.
+        poison = {"n": 5, "canon": [0, 19, 28], "mincut": 3,
+                  "psi": [[0, 1, 2]], "costs": [2]}
+        job = {"kind": "sort", "n": 5, "faults": [3, 12, 21], "keys": 4096,
+               "seed": 1}
+        keys = np.random.default_rng(1).integers(0, 10**6, size=4096).astype(float)
+        expected = fault_tolerant_sort(keys, 5, [3, 12, 21]).elapsed
+        # Leave no exact-key entry behind that would bypass the orbit entry.
+        PLAN_CACHE.clear()
+
         async def main():
             svc = SortingService()
             server, port = await _start(svc)
@@ -125,7 +140,10 @@ class TestEndToEnd:
             for raw in (b"this is not json\n",
                         b'{"op": "frobnicate", "id": "x"}\n',
                         b'{"op": "submit", "tenant": "t", "job": {"kind": "sort", "n": 99}}\n',
-                        b'{"op": "submit", "tenant": "", "job": {"kind": "sort"}}\n'):
+                        b'{"op": "submit", "tenant": "", "job": {"kind": "sort"}}\n',
+                        b'{"op": "orbit_pull", "id": "p", "cursor": 0}\n',
+                        json.dumps({"op": "orbit_push", "id": "q",
+                                    "entries": [poison]}).encode() + b"\n"):
                 writer.write(raw)
                 await writer.drain()
                 reply = json.loads(await reader.readline())
@@ -133,9 +151,11 @@ class TestEndToEnd:
                 assert reply["error"] == "bad_request"
             writer.close()
             await writer.wait_closed()
-            server.close()
-            await server.wait_closed()
-            await svc.aclose()
+            client = await ServiceClient.connect(port=port)
+            result = await client.submit_and_wait(job, tenant="victim")
+            assert result["ok"] and result["result"]["verified"]
+            assert result["result"]["elapsed_sim"] == expected
+            await _stop(svc, server, client)
         asyncio.run(main())
 
 

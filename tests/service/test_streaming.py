@@ -245,6 +245,52 @@ class TestFlowControlAndLifecycle:
         asyncio.run(main())
         assert _shm_clean()
 
+    @pytest.mark.parametrize("transport", ["binary", "shm"])
+    def test_drain_during_live_stream_loses_nothing(self, transport):
+        # A drain sent from a second connection while a 2^20-key stream
+        # is mid-flight must wait for it: the bytes arrive whole, the
+        # drain reply counts the job, a late submit is refused, and
+        # /dev/shm ends empty.
+        keys, seed = 1 << 20, 11
+
+        async def main():
+            svc = SortingService()
+            server, port = await _start(svc)
+            client = await ServiceClient.connect(port=port)
+            ops = await ServiceClient.connect(port=port)
+            late = await ServiceClient.connect(port=port)
+            job = {"kind": "sort", "n": 5, "faults": [3, 12, 21],
+                   "keys": keys, "seed": seed, "kernels": "compiled",
+                   "stream": True}
+            ack = await client.submit(job, transport=transport)
+            assert ack["ok"], ack
+            chunks, drain = [], None
+            async for chunk in client.iter_result(ack["job_id"]):
+                chunks.append(chunk)
+                if drain is None:
+                    drain = asyncio.create_task(ops.drain())
+                    for _ in range(5000):
+                        if svc.draining:
+                            break
+                        await asyncio.sleep(0.001)
+                    assert svc.draining
+                    refused = await late.submit({**job, "seed": seed + 1})
+                    assert refused == {"ok": False, "op": "submit",
+                                       "id": refused["id"],
+                                       "error": "draining"}
+                    assert not drain.done()  # held open by the stream
+            summary = await asyncio.wait_for(drain, 60)
+            assert summary["ok"] and summary["op"] == "drained"
+            assert summary["completed"] == 1 and summary["failed"] == 0
+            assert len(chunks) > 1
+            streamed = np.concatenate(chunks)
+            assert streamed.tobytes() == _expected(seed, keys).tobytes()
+            assert client.stream_summary(ack["job_id"])["result"]["verified"]
+            await _stop(svc, server, client, ops, late)
+
+        asyncio.run(main())
+        assert _shm_clean()
+
     def test_window_meters_consumption(self):
         # With window=1 and a consumer that acks one frame at a time, the
         # stream still completes exactly (ordering + completeness).
