@@ -276,148 +276,6 @@ class TestParallelCampaignSpeedup:
             f"expected >=1.5x on {cpus} CPUs, got {gate['speedup']:.2f}x")
 
 
-#: Executor-comparison workload: one task = one compiled-backend sort of a
-#: parent-generated key block.  The keys array (``m * 8`` bytes) and the
-#: sorted result both dwarf the pickling break-even, which is exactly the
-#: regime the thread/shm tiers exist for.
-EXEC_N = 6
-EXEC_FAULTS = [3, 9]
-
-
-def _exec_bench_task(task):
-    idx, keys = task
-    res = fault_tolerant_sort(keys, EXEC_N, EXEC_FAULTS, kernels="compiled")
-    return (idx, res.sorted_keys)
-
-
-#: Rolling window of executor-benchmark verdicts kept across runs.
-TREND_KEEP = 30
-
-
-def _executor_trend(speedup: float, fast_mode: bool, cpus: int) -> list:
-    """Prior runs' trend points plus this run's, newest last, bounded."""
-    import json
-    import time
-    from pathlib import Path
-
-    path = Path(__file__).resolve().parent.parent / "BENCH_kernels.json"
-    prior: list = []
-    try:
-        prior = json.loads(path.read_text())["executors"]["trend"]
-        if not isinstance(prior, list):
-            prior = []
-    except (OSError, ValueError, KeyError):
-        pass  # first run, unreadable file, or pre-trend schema
-    point = {
-        "speedup": round(speedup, 4),
-        "target": 1.8,
-        "target_met": speedup >= 1.8,
-        "fast_mode": fast_mode,
-        "effective_cpu_count": cpus,
-        "epoch": int(time.time()),
-    }
-    return (prior + [point])[-TREND_KEEP:]
-
-
-class TestExecutorComparison:
-    """serial vs process vs thread vs shm on one compiled-kernel workload.
-
-    Writes the ``executors`` section of ``BENCH_kernels.json``: per-tier
-    wall clock, pickled-byte and arena-byte accounting from
-    :func:`repro.parallel.last_run_stats`, and the peak RSS high-water
-    mark, plus the headline ``best_speedup_vs_process``.  Byte-identity
-    against the serial reference is asserted *always*; the >=1.5x floor
-    over the process pool (target 1.8x) is asserted only where it is
-    meaningful — full-size workload on >=4 effective CPUs — and recorded
-    as ``asserted`` / ``floor_regression`` for CI to gate on.  On 1-CPU
-    hosts every tier auto-degrades to serial (recorded in ``resolved``),
-    so the benchmark still runs — and trivially stays byte-identical.
-    """
-
-    def test_executor_tiers(self, fast_mode, bench_json):
-        import resource
-
-        from repro import parallel
-        from repro.parallel import run_tasks, shutdown_pool
-
-        count = 8 if fast_mode else 24
-        m_keys = 30_000 if fast_mode else 150_000
-        jobs = 4
-        cpus = effective_cpu_count()
-        rng = np.random.default_rng(SEED)
-        tasks = [(i, rng.random(m_keys)) for i in range(count)]
-
-        def peak_rss_kb() -> int:
-            return (resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-                    + resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
-
-        tiers: dict[str, dict] = {}
-        ref_blob = None
-        try:
-            for tier in ("serial", "process", "thread", "shm"):
-                # Warm-up run: pays the fork/import tax outside the timed
-                # window and yields the results for the byte-identity check.
-                results = run_tasks(_exec_bench_task, tasks, jobs=jobs,
-                                    executor=tier)
-                stats = parallel.last_run_stats()
-                seconds = _best_of(
-                    lambda t=tier: run_tasks(_exec_bench_task, tasks,
-                                             jobs=jobs, executor=t),
-                    reps=1 if fast_mode else 2,
-                )
-                blob = b"".join(arr.tobytes() for _, arr in results)
-                if ref_blob is None:
-                    ref_blob = blob
-                tiers[tier] = {
-                    "requested": tier,
-                    "resolved": stats["executor"],
-                    "seconds": seconds,
-                    "payload_bytes": stats["payload_bytes"],
-                    "pickled_bytes": stats["pickled_bytes"],
-                    "arena_bytes": stats["arena_bytes"],
-                    "peak_rss_kb": peak_rss_kb(),
-                    "byte_identical": blob == ref_blob,
-                }
-        finally:
-            shutdown_pool()
-
-        best = min(("thread", "shm"), key=lambda t: tiers[t]["seconds"])
-        speedup = tiers["process"]["seconds"] / tiers[best]["seconds"]
-        floor_vs_serial = tiers["serial"]["seconds"] / tiers[best]["seconds"]
-        asserted = (not fast_mode) and cpus >= 4
-        section = {
-            "tasks": count, "m_keys": m_keys, "jobs": jobs,
-            "n": EXEC_N, "faults": EXEC_FAULTS, "kernels": "compiled",
-            "cpu_count": os.cpu_count() or 1, "effective_cpu_count": cpus,
-            "fast_mode": fast_mode,
-            "tiers": tiers,
-            "byte_identical": all(t["byte_identical"] for t in tiers.values()),
-            "best": best,
-            "best_speedup_vs_process": speedup,
-            "floor_vs_serial": floor_vs_serial,
-            "target": 1.8, "target_met": speedup >= 1.8,
-            "floor": 1.5, "asserted": asserted,
-            "floor_regression": asserted and speedup < 1.5,
-        }
-        # Nightly trend toward the 1.8x target: append this run's verdict
-        # to the rolling window carried in BENCH_kernels.json so the
-        # nightly job can chart progress instead of only pass/fail.
-        section["trend"] = _executor_trend(speedup, fast_mode, cpus)
-        bench_json("kernels", "executors", section)
-        pickled_saved = (tiers["process"]["pickled_bytes"]
-                         - tiers[best]["pickled_bytes"])
-        print(f"\nexecutors x{count} tasks M={m_keys} jobs={jobs}: " + ", ".join(
-            f"{t} {rec['seconds'] * 1e3:.0f}ms" for t, rec in tiers.items())
-            + f" -> best={best} ({speedup:.2f}x vs process, "
-              f"{pickled_saved / 1e6:.1f}MB pickling saved)")
-        assert section["byte_identical"], (
-            "executor tiers diverged from the serial reference")
-        if asserted:
-            assert not section["floor_regression"], (
-                f"zero-pickle tiers below the 1.5x floor over the process "
-                f"pool on {cpus} CPUs ({speedup:.2f}x)")
-
-
 def test_record_environment(bench_json, fast_mode):
     bench_json("kernels", "cpu_count", os.cpu_count() or 1)
     bench_json("kernels", "effective_cpu_count", effective_cpu_count())

@@ -303,8 +303,7 @@ async def main():
         assert r["ok"], r
         sha.update(base64.b64decode(r["result"]["keys_b64"]))
     else:
-        ack = await client.submit({**job, "stream": True},
-                                  transport="binary")
+        ack = await client.submit({**job, "stream": True})
         assert ack["ok"], ack
         async for chunk in client.iter_result(ack["job_id"]):
             sha.update(chunk.tobytes())

@@ -320,7 +320,6 @@ def run_campaign(
     progress=None,
     jobs: int = 1,
     fault_classes: tuple[str, ...] = ("baseline",),
-    executor: str | None = None,
 ) -> CampaignSummary:
     """Run ``count`` seeded scenarios; write a JSONL report to ``out``.
 
@@ -329,15 +328,12 @@ def run_campaign(
     completion order when parallel.  Failing scenarios are shrunk to
     minimal reproducers unless ``shrink_failures`` is off.
 
-    ``jobs > 1`` distributes scenarios over workers; ``executor`` picks
-    the tier (:data:`repro.parallel.EXECUTORS`, ``"auto"``, or ``None``
-    to consult ``REPRO_EXECUTOR``).  Scenario derivation is per-index
-    deterministic, tracers are per-task, and injector activation is
-    thread-local, so the outcomes, the JSONL report (always in scenario
-    order), and the summary are byte-identical to a serial run under
-    every tier; only shrinking stays in the parent.  The ``auto`` payload
-    hint is the key volume a scenario regenerates in its worker
-    (``max_keys`` float64 cells) — tasks themselves ship only scalars.
+    ``jobs > 1`` distributes scenarios over the warm process pool
+    (:func:`repro.parallel.run_tasks`).  Scenario derivation is per-index
+    deterministic and tracers are per-task, so the outcomes, the JSONL
+    report (always in scenario order), and the summary are byte-identical
+    to a serial run; only shrinking stays in the parent.  Tasks ship only
+    scalars: each worker regenerates its scenario's keys itself.
 
     ``fault_classes`` selects the registered fault universes the stratified
     generator cycles; names are validated up front (a typo fails fast, not
@@ -354,10 +350,7 @@ def run_campaign(
     wrapped = None
     if progress is not None:
         wrapped = lambda done, total, result: progress(result[0], result[1])  # noqa: E731
-    indexed = run_tasks(
-        _scenario_task, tasks, jobs=jobs, progress=wrapped,
-        executor=executor, payload_hint=max_keys * 8,
-    )
+    indexed = run_tasks(_scenario_task, tasks, jobs=jobs, progress=wrapped)
     outcomes = [outcome for _, outcome in sorted(indexed, key=lambda pair: pair[0])]
     lines = [json.dumps(outcome.to_dict(), sort_keys=True) for outcome in outcomes]
 

@@ -8,7 +8,7 @@ Subcommands::
     repro plan    --n 5 --faults 3,5,16,24
     repro diagnose --n 6 --faults 3,5,16 [--seed 7]
     repro chaos   --scenarios 200 --seed 0 --out chaos_report.jsonl [--fast]
-                  [--jobs J|auto] [--executor serial|process|thread|shm|auto]
+                  [--jobs J|auto]
     repro table1  [--trials N]        (same as repro-table1)
     repro table2  [--trials N]
     repro figure7 --n 6 [--points P]
@@ -16,7 +16,7 @@ Subcommands::
                   [--tenant-rate R] [--tenant-max-inflight M]
                   [--max-queued N] [--obs-out obs.json] [--port-file P]
     repro submit  --port P [--kind sort] --n 5 --faults 3,5 --count 20
-                  [--tenants a,b] [--stream [--stream-transport shm]]
+                  [--tenants a,b] [--stream]
                   [--drain] [--stats]
 
 ``sort`` runs the fault-tolerant sort on random keys, verifies the output
@@ -30,9 +30,9 @@ report, and the metrics registry.
 ``chaos`` runs the randomized fault-injection campaign (see
 docs/ROBUSTNESS.md): seeded scenarios, differential check against numpy,
 JSONL report, failures shrunk to minimal reproducers; ``--jobs`` fans
-scenarios out over workers with identical results and ``--executor``
-picks the tier (process pool, GIL-releasing threads, shared-memory
-arenas, or auto by payload volume — see docs/PERFORMANCE.md).
+scenarios out over the warm process pool with identical results (the
+serial loop when one CPU or a small batch cannot win — see
+docs/PERFORMANCE.md).
 ``--kernels`` on ``sort``/``trace`` selects the execution backend for the
 sorting inner loops (``numpy`` vectorized default, ``loop`` pure-Python
 reference, ``compiled`` flat-array schedule programs; see
@@ -42,7 +42,8 @@ stdin/stdout with ``--stdio``) until drained by SIGTERM/SIGINT or a client
 ``drain``; run one per host and widen it with ``--jobs`` (docs/SERVICE.md).
 ``submit`` is the matching client — it submits ``--count`` jobs
 round-robin across ``--tenants``, waits for every result (``--stream``
-consumes sorted arrays as checksummed frames instead of inline results),
+consumes sorted arrays as checksummed binary frames instead of inline
+results),
 and prints a latency/throughput summary.
 """
 
@@ -268,7 +269,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     jobs = resolve_jobs(args.jobs) if args.jobs is not None else jobs_from_env(1)
     print(f"chaos campaign: {count} scenarios, seed {args.seed}, "
           f"backends {'/'.join(backends)}, classes {'/'.join(fault_classes)}, "
-          f"jobs {jobs}, executor {args.executor or 'auto'}")
+          f"jobs {jobs}")
     summary = run_campaign(
         count=count,
         seed=args.seed,
@@ -278,7 +279,6 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         progress=progress,
         jobs=jobs,
         fault_classes=fault_classes,
-        executor=args.executor,
     )
     print(f"  passed            : {summary.passed}/{summary.scenarios}")
     for backend, per in sorted(summary.backends.items()):
@@ -340,7 +340,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         stdio=args.stdio,
         ready=ready,
         jobs=jobs,
-        executor=args.executor,
         max_queued=args.max_queued,
         max_queued_per_tenant=args.max_queued_per_tenant,
         batch_max=args.batch_max,
@@ -425,8 +424,7 @@ def _cmd_submit(args: argparse.Namespace) -> int:
                 if args.kind == "chaos":
                     payload["index"] = i
                 ack = await client.submit(
-                    payload, tenant=tenants[i % len(tenants)], retry=True,
-                    transport=args.stream_transport if args.stream else None)
+                    payload, tenant=tenants[i % len(tenants)], retry=True)
                 (acks if ack.get("ok") else rejected).append(ack)
             if args.stream:
                 results = [await consume_stream(client, a["job_id"])
@@ -451,7 +449,6 @@ def _cmd_submit(args: argparse.Namespace) -> int:
             frames = sum(r["result"]["streamed"]["frames"] for r in results)
             keys = sum(r["result"]["streamed"]["keys"] for r in results)
             print(f"  streamed : {frames} frame(s), {keys} key(s), "
-                  f"transport={args.stream_transport}, "
                   f"in_order={all(r['result']['streamed']['in_order'] for r in results)}")
         for r in results if args.verbose else ():
             print(f"  {r.get('job_id')} [{r.get('tenant')}] ok={r.get('ok')} "
@@ -539,10 +536,6 @@ def main(argv: list[str] | None = None) -> int:
     p_chaos.add_argument("--jobs", type=str, default=None,
                          help="workers for scenarios: N, 'auto'/0 = all usable "
                               "CPUs (default: $REPRO_JOBS, else 1)")
-    p_chaos.add_argument("--executor", type=str, default=None,
-                         choices=("serial", "process", "thread", "shm", "auto"),
-                         help="executor tier (default: $REPRO_EXECUTOR, else "
-                              "auto; see docs/PERFORMANCE.md)")
     p_chaos.add_argument("--plan-cache", choices=("on", "off", "stats"),
                          default="on",
                          help="plan cache: on (default), off (cold planning "
@@ -560,12 +553,8 @@ def main(argv: list[str] | None = None) -> int:
                          help="speak the protocol on stdin/stdout instead of TCP")
     p_serve.add_argument("--jobs", type=str, default=None,
                          help="executor width: 1 = in-process (shared plan "
-                              "cache), >1 = warm worker pool, 'auto'/0 = all "
+                              "cache), >1 = warm process pool, 'auto'/0 = all "
                               "usable CPUs (default: $REPRO_JOBS, else 1)")
-    p_serve.add_argument("--executor", type=str, default=None,
-                         choices=("process", "thread", "shm", "auto"),
-                         help="warm-pool tier for jobs > 1 (default: "
-                              "$REPRO_EXECUTOR, else auto)")
     p_serve.add_argument("--max-queued", type=int, default=1024,
                          help="global admission bound")
     p_serve.add_argument("--max-queued-per-tenant", type=int, default=512,
@@ -611,12 +600,7 @@ def main(argv: list[str] | None = None) -> int:
                           help="comma-separated tenant names (round-robin)")
     p_submit.add_argument("--stream", action="store_true",
                           help="stream sorted key arrays back as checksummed "
-                               "frames (sort jobs only)")
-    p_submit.add_argument("--stream-transport", choices=("binary", "shm"),
-                          default="binary",
-                          help="frame transport for --stream: length-prefixed "
-                               "binary chunks, or zero-copy shm descriptors "
-                               "(same host only)")
+                               "binary frames (sort jobs only)")
     p_submit.add_argument("--drain", action="store_true",
                           help="drain the server after the results arrive")
     p_submit.add_argument("--stats", action="store_true",

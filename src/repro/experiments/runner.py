@@ -138,11 +138,10 @@ def _artifact_task(task: tuple) -> list[tuple[str, str, str]]:
 
 
 def run_all(out_dir: str, quick: bool = False, seed: int = 1992,
-            jobs: int = 1, executor: str | None = None) -> list[str]:
+            jobs: int = 1) -> list[str]:
     """Regenerate every artifact into ``out_dir``; returns the manifest.
 
-    ``jobs > 1`` computes the artifact groups in parallel workers
-    (``executor`` picks the tier — serial/process/thread/shm/auto); files
+    ``jobs > 1`` computes the artifact groups in parallel workers; files
     are still written by the parent, in the fixed manifest order, with
     contents identical to a serial run.
     """
@@ -152,7 +151,7 @@ def run_all(out_dir: str, quick: bool = False, seed: int = 1992,
 
     results = run_tasks(
         _artifact_task, [(name, quick, seed) for name in _TASK_NAMES],
-        jobs=jobs, executor=executor,
+        jobs=jobs,
     )
     for files in results:
         for fname, content, kind in files:
@@ -186,7 +185,7 @@ def run_all(out_dir: str, quick: bool = False, seed: int = 1992,
 
 
 def main(argv: list[str] | None = None) -> int:
-    """CLI: ``repro-all --out results [--quick] [--jobs J] [--executor E]``."""
+    """CLI: ``repro-all --out results [--quick] [--jobs J]``."""
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out", type=str, default="results")
     parser.add_argument("--quick", action="store_true")
@@ -194,9 +193,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--jobs", type=str, default=None,
                         help="workers: N, 'auto'/0 = all usable CPUs "
                              "(default: $REPRO_JOBS, else 1)")
-    parser.add_argument("--executor", type=str, default=None,
-                        choices=("serial", "process", "thread", "shm", "auto"),
-                        help="executor tier (default: $REPRO_EXECUTOR, else auto)")
     parser.add_argument("--plan-cache", choices=("on", "off"), default="on",
                         help="disable the memoizing planning layer with 'off'")
     args = parser.parse_args(argv)
@@ -208,8 +204,7 @@ def main(argv: list[str] | None = None) -> int:
         PLAN_CACHE.configure(enabled=False)
 
     jobs = resolve_jobs(args.jobs) if args.jobs is not None else jobs_from_env(1)
-    manifest = run_all(args.out, quick=args.quick, seed=args.seed,
-                       jobs=jobs, executor=args.executor)
+    manifest = run_all(args.out, quick=args.quick, seed=args.seed, jobs=jobs)
     print(f"wrote {len(manifest)} artifacts to {args.out}/ (see MANIFEST.txt)")
     return 0
 

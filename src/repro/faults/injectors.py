@@ -32,9 +32,8 @@ engine — makes byte-identical fault decisions for the same seed:
 Injectors are activated through module-level context managers
 (:func:`comparison_faults`, :func:`memory_faults`); the active injector
 lives in *thread-local* slots — campaign worker processes each activate
-their own, and under the thread executor tier
-(:mod:`repro.parallel`, ``executor="thread"``) concurrent scenarios in
-one process each see only the injector their own thread activated.
+their own, and a job the service runs on its executor thread sees only
+the injector that thread activated.
 """
 
 from __future__ import annotations
@@ -194,9 +193,10 @@ class MemoryInjector:
 
 
 # One slot per thread: a scenario runs synchronously inside the thread
-# that activated its injectors, so thread-local storage is exactly the
-# isolation the thread executor tier needs (and a no-op for the serial
-# and process tiers, where each process has a single working thread).
+# that activated its injectors, so thread-local storage keeps a job on
+# the service's executor thread apart from anything the event-loop
+# thread activates (and is a no-op for the serial loop and pool workers,
+# where each process has a single working thread).
 _ACTIVE = threading.local()
 
 

@@ -15,7 +15,7 @@ across every client, one server process per host:
 * :mod:`repro.service.streams` — result streaming: frame planning,
   per-frame count/sum ABFT checksums, bounded-window flow control.
 * :mod:`repro.service.server` — the asyncio server: dispatchers, metrics,
-  backpressure, arena-backed result streams, graceful drain (SIGTERM-safe).
+  backpressure, binary-frame result streams, graceful drain (SIGTERM-safe).
 * :mod:`repro.service.client` — asyncio client used by ``repro submit``,
   the tests, and the load benchmark (jittered backoff, stream consumption).
 

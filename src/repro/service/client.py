@@ -105,8 +105,8 @@ class ServiceClient:
                     continue
                 if (msg.get("op") == "result_frame"
                         and isinstance(msg.get("nbytes"), int)):
-                    # Binary transport: the frame payload is the next
-                    # nbytes on the wire, and only this loop may read it.
+                    # The frame payload is the next nbytes on the
+                    # wire, and only this loop may read it.
                     msg["_data"] = await self._reader.readexactly(
                         msg["nbytes"])
                 self._route(msg)
@@ -170,7 +170,7 @@ class ServiceClient:
         return await fut
 
     async def _send(self, message: dict) -> None:
-        """Fire-and-forget (acks and stream_done take no reply)."""
+        """Fire-and-forget (frame acks take no reply)."""
         if self._closed:
             return
         self._writer.write(encode(message))
@@ -184,7 +184,6 @@ class ServiceClient:
         tenant: str = "default",
         retry: bool = False,
         max_tries: int = 1000,
-        transport: str | None = None,
     ) -> dict:
         """Submit one job; returns the ack (``ok``/``job_id`` or rejection).
 
@@ -192,13 +191,9 @@ class ServiceClient:
         rejections are absorbed by sleeping for a jittered multiple of the
         server's ``retry_after_ms`` hint and resubmitting (up to
         ``max_tries``); any other rejection is returned as-is.
-        ``transport`` picks the streamed-result frame transport
-        (``"binary"``/``"shm"``) for jobs submitted with ``stream``.
         """
         payload = job.to_dict() if isinstance(job, JobSpec) else dict(job)
         message = {"op": "submit", "tenant": tenant, "job": payload}
-        if transport is not None:
-            message["transport"] = transport
         for _ in range(max(1, max_tries)):
             ack = await self._request(dict(message))
             if ack.get("ok") or not retry or ack.get("error") not in _RETRYABLE:
@@ -245,8 +240,8 @@ class ServiceClient:
     async def iter_result(self, job_id: str):
         """Async-iterate the frames of a streamed result as ndarray chunks.
 
-        Each yielded chunk is materialized (copied out of the socket or
-        the shm arena), checksum-verified, and *then* acked — so the
+        Each yielded chunk is materialized (copied out of the socket),
+        checksum-verified, and *then* acked — so the
         server's in-flight window meters actual consumption, and at most
         ``window`` frames of data exist on this side at once.  After the
         last frame the ``result_end`` summary is available from
@@ -258,7 +253,6 @@ class ServiceClient:
                 whose ABFT count/sum does not match its payload.
         """
         state = self._stream_state(job_id)
-        arenas: dict[str, object] = {}
         try:
             while True:
                 kind, msg = await state.queue.get()
@@ -269,7 +263,7 @@ class ServiceClient:
                     state.header = msg
                     continue
                 if kind == "frame":
-                    chunk = self._materialize(msg, arenas)
+                    chunk = self._materialize(msg)
                     verify_frame(msg, chunk)
                     await self._send({"op": "frame_ack", "job_id": job_id,
                                       "seq": msg["seq"]})
@@ -279,42 +273,20 @@ class ServiceClient:
                 # kind == "end": result_end trailer, or a plain result
                 # (pre-stream failure) acting as one.
                 self._stream_summaries[job_id] = msg
-                if msg.get("op") == "result_end" and msg.get("ok"):
-                    await self._send({"op": "stream_done", "job_id": job_id})
                 if not msg.get("ok"):
                     raise StreamError(msg)
                 return
         finally:
-            for arena in arenas.values():
-                arena.release()
             self._streams.pop(job_id, None)
 
-    def _materialize(self, msg: dict, arenas: dict):
-        """Copy one frame's payload into a fresh ndarray."""
-        if "_data" in msg:
-            dtype = np.dtype((self.stream_header(msg["job_id"]) or {})
-                             .get("dtype", "<f8"))
-            return np.frombuffer(msg.pop("_data"), dtype=dtype).copy()
-        ref_dict = msg.get("shm")
-        if not isinstance(ref_dict, dict):
+    def _materialize(self, msg: dict) -> np.ndarray:
+        """Copy one frame's payload bytes into a fresh ndarray."""
+        data = msg.pop("_data", None)
+        if data is None:
             raise StreamError({"error": "malformed_frame", "seq": msg.get("seq")})
-        from repro import shm
-
-        ref = shm.ShmRef(ref_dict["segment"], ref_dict["offset"],
-                         ref_dict["nbytes"], ref_dict.get("kind", "ndarray"),
-                         tuple(ref_dict.get("shape", ())),
-                         ref_dict.get("dtype", "<f8"))
-        arena = arenas.get(ref.segment)
-        if arena is None:
-            try:
-                arena = arenas[ref.segment] = shm.Arena.attach(ref.segment)
-            except (FileNotFoundError, OSError):
-                # The producer (or its sweeper) unlinked the segment under
-                # us — an aborted stream; resubmittable.
-                raise StreamError({"error": "segment_gone",
-                                   "seq": msg.get("seq"),
-                                   "retryable": True}) from None
-        return arena.read(ref)
+        dtype = np.dtype((self.stream_header(msg["job_id"]) or {})
+                         .get("dtype", "<f8"))
+        return np.frombuffer(data, dtype=dtype).copy()
 
     def stream_header(self, job_id: str) -> dict | None:
         """The ``result_header`` of an in-progress stream (``None`` early)."""

@@ -31,7 +31,7 @@ import numpy as np
 from repro.plancache import PLAN_CACHE
 from repro.service.protocol import JobSpec
 
-__all__ = ["run_job", "run_job_batch", "run_job_batch_shm"]
+__all__ = ["run_job", "run_job_batch"]
 
 def _run_sort(spec: JobSpec) -> dict:
     from repro.core.ftsort import fault_tolerant_sort
@@ -56,9 +56,7 @@ def _run_sort(spec: JobSpec) -> dict:
         "keys": int(keys.size),
     }
     if spec.stream:
-        # The array itself: an arena-dispatching server lifts it into the
-        # shm segment (pack sees a big contiguous ndarray leaf) and
-        # streams frames from there without ever copying it out.
+        # The array itself: the server slices it into binary frames.
         out["sorted_keys"] = np.ascontiguousarray(res.sorted_keys,
                                                   dtype=np.float64)
     elif spec.return_keys:
@@ -145,23 +143,3 @@ def run_job_batch(specs: tuple[JobSpec, ...]) -> list[dict]:
     show the hits.
     """
     return [run_job(spec) for spec in specs]
-
-
-def run_job_batch_shm(specs: tuple[JobSpec, ...],
-                      name: str | None = None) -> tuple:
-    """:func:`run_job_batch`, returning bulk payloads through a shm arena.
-
-    Two callers: the server's ``executor="shm"`` tier (compact payloads —
-    small batches come back ``("inline", ...)`` untouched) and *any*
-    batch containing a streamed sort, whose ``sorted_keys`` array must
-    land in a segment the server can stream frames from without copying.
-    ``name`` is the parent-chosen (pre-registered) segment name; when
-    omitted a worker-side name is minted.  If the worker dies before the
-    server consumes the segment, the worker's exit-time sweep (own name)
-    or the parent's registry sweep (parent name) reclaims it, so no path
-    leaks ``/dev/shm`` entries.
-    """
-    from repro import shm
-
-    return shm.pack_results(run_job_batch(specs),
-                            name if name is not None else shm.make_name("svc"))

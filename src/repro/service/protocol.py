@@ -14,9 +14,7 @@ submit       enqueue a job: ``{"op": "submit", "tenant": "a", "job":
              "j3"}`` or a rejection ``{"ok": false, "error":
              "queue_full", "retry_after_ms": 250}`` / ``{"ok": false,
              "error": "rate_limited", "scope": "jobs_per_sec", ...}`` /
-             ``{"ok": false, "error": "draining"}``.  An optional
-             ``"transport": "binary"|"shm"`` picks the frame transport
-             for streamed jobs (``shm`` = zero-copy same-host).
+             ``{"ok": false, "error": "draining"}``.
 ping         liveness probe -> ``{"ok": true, "op": "pong"}``
 stats        queue depths, per-tenant counters, plan-cache stats
 drain        stop admitting, finish in-flight, flush obs; the reply
@@ -25,19 +23,16 @@ drain        stop admitting, finish in-flight, flush obs; the reply
 frame_ack    client -> server: ``{"op": "frame_ack", "job_id": "j3",
              "seq": 4}`` — advances the bounded in-flight frame window
              of a streamed result (no reply)
-stream_done  client -> server: the stream was fully consumed; releases
-             the server's arena read lease (no reply)
 ===========  =======================================================
 
 Any other ``op`` is answered ``bad_request``: no client can write into
 the server's plan cache, so one tenant cannot change another's plan.
 
 A job submitted with ``"stream": true`` answers not with one ``result``
-push but with a framed stream: ``result_header`` (frame count, dtype,
-transport), ``result_frame`` × F — each carrying a per-frame count/sum
-ABFT checksum and either a shm descriptor (``"shm": {...}``) or a
-``"nbytes"`` field followed by exactly that many raw bytes on the wire —
-and a ``result_end`` trailer with the usual result summary.
+push but with a framed stream: ``result_header`` (frame count, dtype),
+``result_frame`` × F — each carrying a per-frame count/sum ABFT checksum
+and an ``"nbytes"`` field followed by exactly that many raw bytes on the
+wire — and a ``result_end`` trailer with the usual result summary.
 
 Job payloads are validated into frozen :class:`JobSpec` values before they
 touch a queue; a malformed request is answered with ``{"ok": false,

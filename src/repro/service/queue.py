@@ -95,8 +95,6 @@ class QueuedJob:
         conn: opaque connection handle the result is delivered to (the
             server's per-connection state; ``None`` in library use).
         enqueued_at: ``perf_counter()`` at admission (queue-delay metric).
-        transport: frame transport for a streamed result (``"binary"``
-            length-prefixed chunks, or ``"shm"`` zero-copy descriptors).
     """
 
     job_id: str
@@ -105,7 +103,6 @@ class QueuedJob:
     client_id: object = None
     conn: object = None
     enqueued_at: float = 0.0
-    transport: str = "binary"
     signature: tuple | None = field(init=False)
 
     def __post_init__(self) -> None:

@@ -4,7 +4,7 @@ One :class:`SortingService` owns the whole pipeline::
 
     connections --> admission (bounded, per-tenant quotas) --> FairQueue
         --> N dispatcher tasks --> executor (inline thread | warm pool)
-        --> result push (scalar, or an arena-backed frame stream)
+        --> result push (scalar, or a binary frame stream)
             back to the submitting connection
 
 Design decisions, in the order they bit:
@@ -20,14 +20,11 @@ Design decisions, in the order they bit:
   in-process: the event loop stays responsive while the job computes, and
   every job shares the *same* process-wide plan cache — the configuration
   the cross-tenant cache-sharing benchmark measures.  ``jobs > 1``
-  dispatches to a shared warm pool whose tier the ``executor`` knob
-  picks: the process pool (:func:`repro.parallel.warm_pool`, default —
-  each worker keeps its own process-global cache warm across jobs), the
-  warm thread pool (:func:`repro.parallel.warm_thread_pool` — workers
-  share the server's cache like the inline executor), or the process
-  pool with bulk results returned through :mod:`repro.shm` arenas.
-  Per-job cache deltas are computed inside the worker either way, so
-  tenant attribution stays exact.
+  dispatches to the shared warm process pool
+  (:func:`repro.parallel.warm_pool`), where each worker keeps its own
+  process-global cache warm across jobs.  Per-job cache deltas are
+  computed inside the worker either way, so tenant attribution stays
+  exact.
 * **Backpressure is an answer, not an exception.**  Admission overflow,
   per-tenant quota/rate rejections and draining all produce normal
   protocol replies (``queue_full``/``rate_limited`` with a
@@ -35,14 +32,13 @@ Design decisions, in the order they bit:
   token bucket's own refill time for rate limits — and ``draining``);
   nothing is buffered beyond the declared bounds and nothing is silently
   dropped.
-* **Results stream; the server never holds them.**  A ``stream: true``
-  sort's array lands in a :mod:`repro.shm` arena (any batch containing
-  one is dispatched through a parent-named arena, whatever the executor
-  tier) and leaves as checksummed frames — shm descriptors for same-host
-  clients, length-prefixed binary otherwise — under a bounded in-flight
-  window (see :mod:`repro.service.streams`).  The arena carries a read
-  lease per streamed job and unlinks when the last consumer signals
-  ``stream_done`` (or dies trying: connection teardown releases too).
+* **Results stream; the server holds them only while they stream.**  A
+  ``stream: true`` sort's array comes back from the executor like any
+  other result and leaves as checksummed binary frames — each a slice of
+  the array, copied onto the wire — under a bounded in-flight window (see
+  :mod:`repro.service.streams`).  The delivery task owns the array; once
+  the trailer is out (or the stream aborts) nothing references it, and
+  the dispatcher keeps no batch state past the batch it is running.
 * **Drain is a barrier, not a kill.**  ``drain()`` (also wired to
   SIGTERM/SIGINT) stops admission, wakes everyone, waits until the queue
   and the in-flight set are empty — results *and result streams*
@@ -62,13 +58,12 @@ from concurrent.futures import ThreadPoolExecutor
 
 from repro.obs import MetricsRegistry
 from repro.plancache import PLAN_CACHE
-from repro.service.jobs import run_job_batch, run_job_batch_shm
+from repro.service.jobs import run_job_batch
 from repro.service.protocol import JobSpec, ProtocolError, decode_line, encode
 from repro.service.queue import FairQueue, QueueFull, QueuedJob, TokenBucket
 from repro.service.streams import (
     DEFAULT_CHUNK_KEYS,
     DEFAULT_WINDOW,
-    STREAM_TRANSPORTS,
     frame_checksum,
     plan_frames,
 )
@@ -117,28 +112,15 @@ class _Connection:
 class _Stream:
     """Server-side state of one in-flight result stream."""
 
-    __slots__ = ("job", "transport", "frames", "sent", "acked", "ack_event",
-                 "aborted", "lease_name", "lease_released", "awaiting_done")
+    __slots__ = ("job", "frames", "sent", "acked", "ack_event", "aborted")
 
-    def __init__(self, job: QueuedJob, transport: str, frames: int,
-                 lease_name: str | None):
+    def __init__(self, job: QueuedJob, frames: int):
         self.job = job
-        self.transport = transport
         self.frames = frames
         self.sent = -1
         self.acked = -1
         self.ack_event = asyncio.Event()
         self.aborted = False
-        self.lease_name = lease_name
-        self.lease_released = lease_name is None
-        self.awaiting_done = False
-
-    def release_lease(self) -> None:
-        if not self.lease_released:
-            from repro import shm
-
-            self.lease_released = True
-            shm.release_lease(self.lease_name)
 
 
 class SortingService:
@@ -147,16 +129,8 @@ class SortingService:
     Args:
         jobs: executor width — ``<= 1`` runs jobs on an in-process
             single-thread executor against the server's own plan cache;
-            ``> 1`` fans batches out over that many warm pool workers.
-        executor: warm-pool tier for ``jobs > 1`` — ``"process"`` (the
-            shared process pool), ``"thread"`` (the warm thread pool;
-            workers share the server's plan cache like the inline
-            executor does), ``"shm"`` (process pool with bulk results
-            returned through :mod:`repro.shm` arenas), or
-            ``None``/``"auto"`` (consult ``REPRO_EXECUTOR``, else the
-            process pool — job payloads are compact, so the pickling
-            break-even rarely favors arenas here).  Ignored when
-            ``jobs <= 1``.
+            ``> 1`` fans batches out over that many warm process-pool
+            workers.
         max_queued: global admission bound.
         max_queued_per_tenant: per-tenant admission bound.
         batch_max: maximum compatible jobs fused into one executor trip.
@@ -183,7 +157,6 @@ class SortingService:
     def __init__(
         self,
         jobs: int = 1,
-        executor: str | None = None,
         max_queued: int = 1024,
         max_queued_per_tenant: int = 512,
         batch_max: int = 8,
@@ -217,25 +190,11 @@ class SortingService:
             lambda text: print(text, file=sys.stderr, flush=True))
         self.jobs = int(jobs)
         self._pool_workers = 0
-        self.executor_tier = "inline"
         if self.jobs > 1:
-            from repro.parallel import (
-                resolve_executor,
-                warm_pool,
-                warm_thread_pool,
-            )
+            from repro.parallel import warm_pool
 
-            # total=None skips the batch-size degrade guard: pool width is
-            # a service-lifetime decision, not a per-batch one.
-            tier = resolve_executor(executor, jobs=self.jobs, total=None)
-            if tier == "serial":  # nonsensical for a pool; keep status quo
-                tier = "process"
             self._pool_workers = self.jobs
-            if tier == "thread":
-                self._executor = warm_thread_pool(self.jobs)
-            else:
-                self._executor = warm_pool(self.jobs)
-            self.executor_tier = tier
+            self._executor = warm_pool(self.jobs)
             self._owns_executor = False
         else:
             self._executor = ThreadPoolExecutor(
@@ -317,8 +276,6 @@ class SortingService:
         if self._stream_tasks:
             await asyncio.gather(*self._stream_tasks, return_exceptions=True)
         self._stream_tasks.clear()
-        for state in list(self._streams.values()):
-            state.release_lease()
         self._streams.clear()
         if self._owns_executor:
             self._executor.shutdown(wait=False, cancel_futures=True)
@@ -385,11 +342,6 @@ class SortingService:
                 state.acked = seq
                 state.ack_event.set()
             return None
-        if op == "stream_done":
-            state = self._streams.pop(msg.get("job_id"), None)
-            if state is not None:
-                state.release_lease()
-            return None
         return {"ok": False, "error": "bad_request", "id": rid,
                 "detail": f"unknown op {op!r}"}
 
@@ -403,12 +355,6 @@ class SortingService:
             self.metrics.inc("service.rejected.bad_request")
             return {**reject, "error": "bad_request",
                     "detail": f"invalid tenant {tenant!r}"}
-        transport = msg.get("transport", "binary")
-        if transport not in STREAM_TRANSPORTS:
-            self.metrics.inc("service.rejected.bad_request")
-            return {**reject, "error": "bad_request",
-                    "detail": f"transport must be one of {STREAM_TRANSPORTS}, "
-                              f"got {transport!r}"}
         try:
             spec = JobSpec.from_dict(msg.get("job"))
         except ProtocolError as exc:
@@ -427,7 +373,6 @@ class SortingService:
             client_id=rid,
             conn=conn,
             enqueued_at=time.perf_counter(),
-            transport=transport,
         )
         try:
             depth = self.queue.put(job)
@@ -491,7 +436,6 @@ class SortingService:
     # -- dispatch ------------------------------------------------------------
 
     async def _dispatch_loop(self) -> None:
-        loop = asyncio.get_running_loop()
         while True:
             async with self._cond:
                 while self.queue.depth == 0:
@@ -500,74 +444,61 @@ class SortingService:
                 if not batch:  # pragma: no cover - raced another dispatcher
                     continue
                 self.in_flight += len(batch)
-            self.metrics.set_gauge("service.queue_depth", self.queue.depth)
-            self.metrics.set_gauge("service.in_flight", self.in_flight)
-            specs = tuple(job.spec for job in batch)
-            has_stream = any(job.spec.stream for job in batch)
-            use_arena = has_stream or self.executor_tier == "shm"
-            arena_name = None
-            stream_refs: dict[str, object] = {}
-            try:
-                if use_arena:
-                    from repro import shm
+            await self._run_batch(batch)
 
-                    arena_name = shm.make_name("svcres")
-                    shm.register_name(arena_name)
-                    tagged = await loop.run_in_executor(
-                        self._executor, run_job_batch_shm, specs, arena_name)
-                    payloads, stream_refs = self._unpack_batch(
-                        batch, tagged, arena_name)
-                else:
-                    payloads = await loop.run_in_executor(
-                        self._executor, run_job_batch, specs)
-                    stream_refs = self._extract_stream_payloads(batch, payloads)
-            except asyncio.CancelledError:
-                if arena_name is not None:
-                    from repro import shm
+    async def _run_batch(self, batch: list[QueuedJob]) -> None:
+        """Execute one popped batch and hand every result to its delivery.
 
-                    shm.sweep((arena_name,))
-                async with self._cond:
-                    self.in_flight -= len(batch)
-                    self._cond.notify_all()
-                raise
-            except Exception as exc:  # broken pool, pickling failure, ...
-                self.log(f"batch of {len(batch)} failed in executor: {exc!r}")
-                if arena_name is not None:
-                    from repro import shm
-
-                    shm.sweep((arena_name,))
-                payloads = [
-                    {"ok": False, "run_ms": 0.0,
-                     "result": {"kind": spec.kind,
-                                "error": f"{type(exc).__name__}: {exc}"},
-                     "plancache": {"hits": 0, "misses": 0}}
-                    for spec in specs
-                ]
-                stream_refs = {}
-            now = time.perf_counter()
-            self.metrics.inc("service.batches")
-            if len(batch) > 1:
-                self.metrics.inc("service.batched_jobs", len(batch) - 1)
-            streams = 0
-            for job, payload in zip(batch, payloads):
-                ref = stream_refs.get(job.job_id)
-                if ref is not None:
-                    streams += 1
-                    task = asyncio.create_task(
-                        self._deliver_stream(job, payload, ref,
-                                             len(batch), now),
-                        name=f"repro-stream-{job.job_id}")
-                    self._stream_tasks.add(task)
-                    task.add_done_callback(self._stream_tasks.discard)
-                else:
-                    await self._finish_job(job, payload, len(batch), now)
+        A method of its own so the batch's payloads and streamed arrays
+        die with this frame: the dispatcher loop would otherwise keep the
+        last batch's results (a streamed array, an inline base64 string)
+        alive through the next batch's executor call.
+        """
+        self.metrics.set_gauge("service.queue_depth", self.queue.depth)
+        self.metrics.set_gauge("service.in_flight", self.in_flight)
+        specs = tuple(job.spec for job in batch)
+        try:
+            payloads = await asyncio.get_running_loop().run_in_executor(
+                self._executor, run_job_batch, specs)
+            stream_refs = self._extract_stream_payloads(batch, payloads)
+        except asyncio.CancelledError:
             async with self._cond:
-                # Streamed jobs stay in flight until their delivery task
-                # (which sends result_end) finishes — the drain barrier
-                # must cover them.
-                self.in_flight -= len(batch) - streams
-                self.metrics.set_gauge("service.in_flight", self.in_flight)
+                self.in_flight -= len(batch)
                 self._cond.notify_all()
+            raise
+        except Exception as exc:  # broken pool, pickling failure, ...
+            self.log(f"batch of {len(batch)} failed in executor: {exc!r}")
+            payloads = [
+                {"ok": False, "run_ms": 0.0,
+                 "result": {"kind": spec.kind,
+                            "error": f"{type(exc).__name__}: {exc}"},
+                 "plancache": {"hits": 0, "misses": 0}}
+                for spec in specs
+            ]
+            stream_refs = {}
+        now = time.perf_counter()
+        self.metrics.inc("service.batches")
+        if len(batch) > 1:
+            self.metrics.inc("service.batched_jobs", len(batch) - 1)
+        streams = 0
+        for job, payload in zip(batch, payloads):
+            keys = stream_refs.get(job.job_id)
+            if keys is not None:
+                streams += 1
+                task = asyncio.create_task(
+                    self._deliver_stream(job, payload, keys, len(batch), now),
+                    name=f"repro-stream-{job.job_id}")
+                self._stream_tasks.add(task)
+                task.add_done_callback(self._stream_tasks.discard)
+            else:
+                await self._finish_job(job, payload, len(batch), now)
+        async with self._cond:
+            # Streamed jobs stay in flight until their delivery task
+            # (which sends result_end) finishes — the drain barrier
+            # must cover them.
+            self.in_flight -= len(batch) - streams
+            self.metrics.set_gauge("service.in_flight", self.in_flight)
+            self._cond.notify_all()
 
     def _extract_stream_payloads(self, batch, payloads) -> dict:
         """Pop in-memory ``sorted_keys`` arrays for the streamed jobs."""
@@ -580,45 +511,6 @@ class SortingService:
             if isinstance(result, dict) and "sorted_keys" in result:
                 refs[job.job_id] = result.pop("sorted_keys")
         return refs
-
-    def _unpack_batch(self, batch, tagged: tuple, name: str) -> tuple[list, dict]:
-        """Resolve an arena batch, keeping streamed arrays *in* the arena.
-
-        The streamed jobs' ``sorted_keys`` ShmRefs are popped before the
-        generic unpack so their payloads are never copied out; the arena
-        then takes one read lease per streamed ref (released as each
-        stream completes — the last release unlinks).  Everything else is
-        copied out as usual.  With no streamed refs the segment is swept
-        immediately.
-        """
-        from repro import shm
-
-        tag, payload_list, _moved = tagged
-        if tag == "inline":
-            # Below the break-even (or /dev/shm unusable): the named
-            # segment was never created — settle the pre-registration.
-            shm.sweep((name,))
-            return payload_list, self._extract_stream_payloads(
-                batch, payload_list)
-        refs: dict[str, object] = {}
-        for job, payload in zip(batch, payload_list):
-            if not (job.spec.stream and isinstance(payload, dict)
-                    and payload.get("ok")):
-                continue
-            result = payload.get("result")
-            if isinstance(result, dict) and "sorted_keys" in result:
-                refs[job.job_id] = result.pop("sorted_keys")
-        cache = shm._AttachCache()
-        try:
-            payloads = [shm.unpack(item, cache) for item in payload_list]
-        finally:
-            cache.close()
-        leases = sum(1 for ref in refs.values() if isinstance(ref, shm.ShmRef))
-        if leases:
-            shm.acquire_lease(name, leases)
-        else:
-            shm.sweep((name,))
-        return payloads, refs
 
     # -- result delivery -----------------------------------------------------
 
@@ -661,33 +553,20 @@ class SortingService:
             await job.conn.send(message)
 
     async def _deliver_stream(
-        self, job: QueuedJob, payload: dict, ref, batch_size: int, now: float
+        self, job: QueuedJob, payload: dict, keys, batch_size: int, now: float
     ) -> None:
         """Send one streamed result: header, windowed frames, trailer.
 
         Runs as its own task so a slow consumer throttles only its stream
         (the bounded window blocks *here*, not in the dispatcher); the job
         stays in flight — and its tenant quota held — until the trailer
-        is out.
+        is out.  Each frame is a slice of ``keys`` copied onto the wire.
         """
-        from repro import shm
-
-        import numpy as np
-
-        is_ref = isinstance(ref, shm.ShmRef)
-        # A shm transport is only deliverable when the payload actually
-        # lives in a segment; otherwise (tiny array, no /dev/shm) the
-        # header downgrades to binary and the client follows it.
-        transport = job.transport if is_ref else "binary"
-        dtype = ref.dtype if is_ref else ref.dtype.str
-        itemsize = np.dtype(dtype).itemsize
-        count = (ref.nbytes // itemsize) if is_ref else int(ref.size)
+        count = int(keys.size)
+        itemsize = keys.dtype.itemsize
         frames = plan_frames(count, self.stream_chunk)
-        state = _Stream(job, transport, len(frames),
-                        ref.segment if is_ref else None)
+        state = _Stream(job, len(frames))
         self._streams[job.job_id] = state
-        arena = None
-        sent_bytes = 0
         ok = True
         error: str | None = None
         try:
@@ -700,16 +579,13 @@ class SortingService:
                 "tenant": job.tenant,
                 "frames": len(frames),
                 "count": count,
-                "dtype": dtype,
+                "dtype": keys.dtype.str,
                 "chunk": self.stream_chunk,
-                "transport": transport,
                 "batched": batch_size,
             }
             if job.conn is None or not await job.conn.send(header):
                 ok, error = False, "client_gone"
                 return
-            if is_ref:
-                arena = shm.Arena.attach(ref.segment)
             for seq, (start, length) in enumerate(frames):
                 if state.aborted or (job.conn and job.conn.closed):
                     ok, error = False, "client_gone"
@@ -722,33 +598,18 @@ class SortingService:
                 if state.aborted:
                     ok, error = False, "client_gone"
                     return
-                chunk = (arena.view(ref, start, length) if is_ref
-                         else ref[start:start + length])
+                chunk = keys[start:start + length]
                 n, total = frame_checksum(chunk)
+                data = chunk.tobytes()
                 frame = {
                     "op": "result_frame",
                     "job_id": job.job_id,
                     "seq": seq,
                     "count": n,
                     "sum": total,
+                    "nbytes": len(data),
                 }
-                if transport == "shm":
-                    frame["shm"] = {
-                        "segment": ref.segment,
-                        "offset": ref.offset + start * itemsize,
-                        "nbytes": length * itemsize,
-                        "kind": "ndarray",
-                        "shape": [length],
-                        "dtype": dtype,
-                    }
-                    sent = await job.conn.send(frame)
-                    sent_bytes += length * itemsize
-                else:
-                    data = chunk.tobytes()
-                    frame["nbytes"] = len(data)
-                    sent = await job.conn.send_with_payload(frame, data)
-                    sent_bytes += len(data)
-                if not sent:
+                if not await job.conn.send_with_payload(frame, data):
                     ok, error = False, "client_gone"
                     return
                 state.sent = seq
@@ -769,12 +630,9 @@ class SortingService:
             await job.conn.send(trailer)
             self.metrics.inc("service.stream.jobs")
         finally:
-            if arena is not None:
-                arena.release()
+            self._streams.pop(job.job_id, None)
             if not ok:
                 self.metrics.inc("service.stream.aborted")
-                state.release_lease()
-                self._streams.pop(job.job_id, None)
                 if error != "client_gone" and job.conn is not None:
                     await job.conn.send({
                         "ok": False, "op": "result_end", "id": job.client_id,
@@ -782,14 +640,6 @@ class SortingService:
                         "error": error, "retryable": True,
                         "result": {"kind": job.spec.kind, "error": error},
                     })
-            elif transport != "shm":
-                # Binary frames were copied onto the wire; nothing reads
-                # the arena after this, so the lease drops now.  A shm
-                # stream instead waits for the client's stream_done.
-                state.release_lease()
-                self._streams.pop(job.job_id, None)
-            else:
-                state.awaiting_done = True
             self._release_tenant(job.tenant)
             async with self._cond:
                 self.in_flight -= 1
@@ -805,14 +655,11 @@ class SortingService:
                                    self.stream_ack_timeout)
 
     def _abort_streams_for(self, conn: _Connection) -> None:
-        """Connection teardown: abort/release every stream bound to it."""
-        for job_id, state in list(self._streams.items()):
+        """Connection teardown: abort every stream bound to it."""
+        for state in self._streams.values():
             if state.job.conn is conn:
                 state.aborted = True
                 state.ack_event.set()
-                if state.awaiting_done:
-                    state.release_lease()
-                    self._streams.pop(job_id, None)
 
     # -- drain + reporting -----------------------------------------------------
 
@@ -897,7 +744,6 @@ class SortingService:
             "ema_run_ms": round(self._ema_run_ms, 3),
             "executor": {
                 "mode": "pool" if self._pool_workers else "inline",
-                "tier": self.executor_tier,
                 "workers": self._pool_workers or 1,
             },
             "streams": {

@@ -1,25 +1,25 @@
 """Result streaming: frame planning + ABFT checksums (server and client).
 
 A streamed sort result never crosses the wire as one pickled/JSON blob.
-The server chunks the arena-resident sorted array into frames of
-``chunk`` keys and sends::
+The server chunks the sorted array into frames of ``chunk`` keys and
+sends::
 
-    result_header   frames, count, dtype, chunk, transport
-    result_frame    seq, count, sum, then the payload:
-                      transport "shm"    -> a ShmRef descriptor dict (the
-                                            client reads the chunk straight
-                                            out of the arena: zero-copy)
-                      transport "binary" -> "nbytes" + that many raw bytes
-                                            immediately after the line
+    result_header   frames, count, dtype, chunk
+    result_frame    seq, count, sum, nbytes, then exactly nbytes raw
+                    bytes immediately after the line
     ...
     result_end      the usual result summary + stream totals
+
+The client's peak memory is bounded by the window, not by the result:
+that is where the streamed path's memory win over the inline base64
+result comes from.
 
 Flow control is a bounded in-flight window: the server stops sending when
 ``sent - acked >= window`` and resumes on the client's ``frame_ack``; the
 client acks a frame only after materializing and verifying it, so a slow
 consumer throttles the producer instead of ballooning either side's
 memory.  Every frame carries the ABFT pair the checksum-sorting literature
-uses — element count and exact float64 sum — computed on the arena view
+uses — element count and exact float64 sum — computed on the array slice
 at send time and recomputed on the materialized chunk at receive time;
 numpy's pairwise summation is deterministic for identical buffers, so the
 comparison is exact, not a tolerance.
@@ -32,7 +32,6 @@ import numpy as np
 __all__ = [
     "DEFAULT_CHUNK_KEYS",
     "DEFAULT_WINDOW",
-    "STREAM_TRANSPORTS",
     "StreamChecksumError",
     "StreamError",
     "frame_checksum",
@@ -47,8 +46,6 @@ DEFAULT_CHUNK_KEYS = 1 << 16
 
 #: Frames the server may have in flight beyond the highest ack.
 DEFAULT_WINDOW = 8
-
-STREAM_TRANSPORTS = ("binary", "shm")
 
 
 class StreamError(RuntimeError):
@@ -90,7 +87,7 @@ def verify_frame(msg: dict, chunk: np.ndarray) -> None:
 
     Raises:
         StreamChecksumError: on any count or sum mismatch — corrupted
-            transport, torn shm read, or a server bug; never ignorable.
+            bytes on the wire or a server bug; never ignorable.
     """
     count, total = frame_checksum(chunk)
     if count != msg.get("count") or total != msg.get("sum"):

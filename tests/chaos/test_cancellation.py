@@ -10,27 +10,12 @@
   *and shuts the pool down*, so an aborted campaign never leaves worker
   processes behind.
 
-The shm executor tier extends the no-orphan guarantee to ``/dev/shm``:
-whatever ends a run — normal completion, a task exception, an interrupt,
-or a SIGTERM-style drain — every shared-memory arena the run allocated
-(task arenas *and* pre-registered result segments) must be gone
-afterwards.  :class:`TestArenaLifecycle` globs the prefix directly.
-
 The single-CPU auto-serial guard is monkeypatched away so these tests
 exercise the real pool even on a 1-core runner.
 """
 
 from __future__ import annotations
 
-import glob
-import os
-import signal
-import subprocess
-import sys
-import textwrap
-import time
-
-import numpy as np
 import pytest
 
 import repro.parallel as parallel
@@ -61,10 +46,6 @@ def _boom_interrupt(x: int) -> int:
     return x
 
 
-def _no_segments() -> bool:
-    return not glob.glob("/dev/shm/repro_shm_*")
-
-
 @pytest.fixture(autouse=True)
 def force_parallel_path(monkeypatch):
     """Defeat the 1-CPU auto-serial guard; always leave no pool behind."""
@@ -72,8 +53,6 @@ def force_parallel_path(monkeypatch):
     yield
     shutdown_pool()
     assert parallel._pool is None
-    assert parallel._thread_pool is None
-    assert _no_segments()
 
 
 class TestWorkerExceptions:
@@ -138,129 +117,6 @@ class TestPoolResize:
         assert not any(fut.cancelled() for fut in futures)
         # The resized pool is live and usable.
         assert resized.submit(parallel._run_chunk, (_square, [7])).result(timeout=30) == [49]
-
-
-def _big_square(task):
-    idx, arr = task
-    return (idx, float(arr.sum()))
-
-
-def _slow_big_square(task):
-    import time
-
-    time.sleep(0.05)
-    return _big_square(task)
-
-
-def _boom_big(task):
-    if task[0] == 3:
-        raise ValueError("task 3 is cursed")
-    return _big_square(task)
-
-
-def _big_tasks(count: int = 16):
-    rng = np.random.default_rng(5)
-    return [(i, rng.random(20_000)) for i in range(count)]
-
-
-class TestArenaLifecycle:
-    """No leaked ``/dev/shm`` segments, whatever ends an shm-tier run."""
-
-    def test_normal_completion_leaves_no_segments(self):
-        tasks = _big_tasks()
-        results = run_tasks(_big_square, tasks, jobs=2, executor="shm")
-        assert parallel.last_run_stats()["executor"] == "shm"
-        assert parallel.last_run_stats()["arena_bytes"] > 0
-        assert results == [(i, float(a.sum())) for i, a in tasks]
-        assert _no_segments()
-
-    def test_task_exception_sweeps_arenas_keeps_pool(self):
-        with pytest.raises(ValueError, match="cursed"):
-            run_tasks(_boom_big, _big_tasks(), jobs=2, executor="shm")
-        assert parallel._pool is not None  # warm pool survived...
-        assert _no_segments()              # ...but the arenas did not
-
-    def test_progress_interrupt_sweeps_arenas_and_pools(self):
-        def cancel_after_first(done, total, result):
-            raise KeyboardInterrupt
-
-        with pytest.raises(KeyboardInterrupt):
-            run_tasks(_slow_big_square, _big_tasks(), jobs=2, executor="shm",
-                      progress=cancel_after_first)
-        assert parallel._pool is None
-        assert _no_segments()
-
-    def test_shutdown_pool_sweeps_registered_names(self):
-        import repro.shm as shm
-
-        arena = shm.Arena.create("orphan", 8192)
-        arena.close()
-        assert not _no_segments()
-        shutdown_pool()
-        assert _no_segments()
-        assert shm.registered_names() == ()
-
-    def test_sigterm_drain_leaves_no_segments(self, tmp_path):
-        """A SIGTERM-style drain mid-run reclaims every arena.
-
-        A child process maps SIGTERM to ``KeyboardInterrupt`` (the
-        service's drain path unwinds the same way), starts an shm-tier
-        run with large payloads, and is terminated mid-flight; it must
-        exit through the sweep with zero segments left — observed both
-        by the child itself and by this test after it exits.
-        """
-        script = tmp_path / "sigterm_drain.py"
-        script.write_text(textwrap.dedent("""
-            import glob, signal, sys
-
-            import numpy as np
-
-            import repro.parallel as parallel
-
-            parallel.effective_cpu_count = lambda: 4
-
-            def _drain(signum, frame):
-                raise KeyboardInterrupt
-
-            signal.signal(signal.SIGTERM, _drain)
-
-            def slow_task(task):
-                import time
-                idx, arr = task
-                time.sleep(0.25)
-                return (idx, float(arr.sum()))
-
-            if __name__ == "__main__":
-                rng = np.random.default_rng(0)
-                tasks = [(i, rng.random(20_000)) for i in range(16)]
-                print("READY", flush=True)
-                try:
-                    parallel.run_tasks(slow_task, tasks, jobs=2, executor="shm")
-                except KeyboardInterrupt:
-                    left = glob.glob("/dev/shm/repro_shm_*")
-                    print(f"SWEPT {len(left)}", flush=True)
-                    sys.exit(0)
-                print("COMPLETED", flush=True)
-                sys.exit(0)
-        """))
-        env = dict(os.environ)
-        src = os.path.join(os.path.dirname(parallel.__file__), os.pardir)
-        env["PYTHONPATH"] = os.path.abspath(src)
-        proc = subprocess.Popen(
-            [sys.executable, str(script)], env=env,
-            stdout=subprocess.PIPE, text=True,
-        )
-        try:
-            assert proc.stdout.readline().strip() == "READY"
-            time.sleep(0.5)  # let chunks (and their arenas) dispatch
-            proc.send_signal(signal.SIGTERM)
-            out, _ = proc.communicate(timeout=60)
-        finally:
-            if proc.poll() is None:  # pragma: no cover - hung child
-                proc.kill()
-        assert proc.returncode == 0, out
-        assert "SWEPT 0" in out or "COMPLETED" in out
-        assert _no_segments()
 
 
 class TestCampaignCancellation:

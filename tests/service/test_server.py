@@ -142,6 +142,7 @@ class TestEndToEnd:
                         b'{"op": "submit", "tenant": "t", "job": {"kind": "sort", "n": 99}}\n',
                         b'{"op": "submit", "tenant": "", "job": {"kind": "sort"}}\n',
                         b'{"op": "orbit_pull", "id": "p", "cursor": 0}\n',
+                        b'{"op": "stream_done", "job_id": "j0"}\n',
                         json.dumps({"op": "orbit_push", "id": "q",
                                     "entries": [poison]}).encode() + b"\n"):
                 writer.write(raw)

@@ -1,14 +1,15 @@
 """Result streaming: byte identity, checksums, flow control, lifecycle.
 
 The contract under test: a ``stream: true`` sort delivers *exactly* the
-bytes the inline paths deliver — chunked, checksummed, window-throttled —
-over either transport, and every arena segment involved is gone once the
+bytes the inline paths deliver — chunked into binary frames, checksummed,
+window-throttled — and the server lets go of the streamed array once the
 stream ends (consumed, aborted, or stalled).
 """
 
 import asyncio
 import base64
-import glob
+import gc
+import weakref
 
 import numpy as np
 import pytest
@@ -21,10 +22,6 @@ from repro.service import (
     plan_frames,
     verify_frame,
 )
-
-
-def _shm_clean() -> bool:
-    return not glob.glob("/dev/shm/repro_shm_*")
 
 
 def _expected(seed: int, keys: int) -> np.ndarray:
@@ -77,8 +74,7 @@ class TestFrameHelpers:
 
 
 class TestStreamedResults:
-    @pytest.mark.parametrize("transport", ["binary", "shm"])
-    def test_streamed_bytes_identical_to_inline(self, transport):
+    def test_streamed_bytes_identical_to_inline(self):
         keys, seed = 20_000, 42
 
         async def main():
@@ -93,9 +89,8 @@ class TestStreamedResults:
             baseline = np.frombuffer(
                 base64.b64decode(inline["result"]["keys_b64"]),
                 dtype=np.float64)
-            # Streamed: checksummed frames over the chosen transport.
-            ack = await client.submit({**job, "stream": True},
-                                      transport=transport)
+            # Streamed: checksummed binary frames.
+            ack = await client.submit({**job, "stream": True})
             assert ack["ok"], ack
             chunks = [c async for c in client.iter_result(ack["job_id"])]
             streamed = np.concatenate(chunks)
@@ -113,18 +108,16 @@ class TestStreamedResults:
             assert header is None or header["count"] == keys
 
         asyncio.run(main())
-        assert _shm_clean()
 
-    def test_shm_transport_downgrades_below_break_even(self):
-        # 16 keys = 128 bytes: far under LEAF_MIN_BYTES, so no segment is
-        # ever created and the header must fall back to binary frames.
+    def test_tiny_stream_round_trips(self):
+        # 16 keys = 128 bytes: one short frame, still checksummed.
         async def main():
             svc = SortingService()
             server, port = await _start(svc)
             client = await ServiceClient.connect(port=port)
             ack = await client.submit(
                 {"kind": "sort", "n": 3, "keys": 16, "seed": 7,
-                 "stream": True}, transport="shm")
+                 "stream": True})
             assert ack["ok"]
             streamed = await client.collect_stream(ack["job_id"])
             assert client.stream_header(ack["job_id"]) is None  # consumed
@@ -134,11 +127,10 @@ class TestStreamedResults:
             await _stop(svc, server, client)
 
         asyncio.run(main())
-        assert _shm_clean()
 
     def test_streamed_and_plain_jobs_share_a_batch(self):
         # A batch mixing streamed and non-streamed compatible sorts must
-        # deliver both correctly (the batch goes through the arena path).
+        # deliver both correctly (one executor trip, two delivery paths).
         async def main():
             svc = SortingService(batch_max=4, stream_chunk=2048)
             server, port = await _start(svc)
@@ -154,7 +146,6 @@ class TestStreamedResults:
             await _stop(svc, server, client)
 
         asyncio.run(main())
-        assert _shm_clean()
 
     def test_failing_streamed_job_raises_stream_error(self):
         from repro.service import StreamError
@@ -167,11 +158,11 @@ class TestStreamedResults:
             # result; the stream consumer must surface it as StreamError.
             import repro.service.server as server_mod
 
-            def boom(specs, *a):
+            def boom(specs):
                 raise RuntimeError("executor exploded")
 
-            orig = server_mod.run_job_batch_shm
-            server_mod.run_job_batch_shm = boom
+            orig = server_mod.run_job_batch
+            server_mod.run_job_batch = boom
             try:
                 ack = await client.submit(
                     {"kind": "sort", "n": 4, "keys": 8192, "stream": True})
@@ -180,19 +171,18 @@ class TestStreamedResults:
                     async for _chunk in client.iter_result(ack["job_id"]):
                         pass
             finally:
-                server_mod.run_job_batch_shm = orig
+                server_mod.run_job_batch = orig
             await _stop(svc, server, client)
 
         asyncio.run(main())
-        assert _shm_clean()
 
 
 class TestFlowControlAndLifecycle:
     def test_stalled_consumer_aborts_stream_and_sweeps(self):
         # The client's reader enqueues frames but nobody iterates, so no
         # acks flow: the server must stall at its window, abort after
-        # stream_ack_timeout, answer a retryable result_end, and leave
-        # zero segments behind.
+        # stream_ack_timeout, answer a retryable result_end, and close
+        # the stream.
         from repro.service import StreamError
 
         async def main():
@@ -215,20 +205,17 @@ class TestFlowControlAndLifecycle:
             await _stop(svc, server, client)
 
         asyncio.run(main())
-        assert _shm_clean()
 
     def test_disconnect_mid_stream_releases_leases(self):
         # Kill the client connection between frames: the server must
-        # abort the stream, release the arena lease, and still drain to
-        # zero with nothing left in /dev/shm.
+        # abort the stream, drop its state, and still drain to zero.
         async def main():
             svc = SortingService(stream_chunk=1024, stream_window=1,
                                  stream_ack_timeout=5.0)
             server, port = await _start(svc)
             client = await ServiceClient.connect(port=port)
             ack = await client.submit(
-                {"kind": "sort", "n": 4, "keys": 50_000, "stream": True},
-                transport="shm")
+                {"kind": "sort", "n": 4, "keys": 50_000, "stream": True})
             assert ack["ok"]
             # Wait for the stream to exist server-side, then vanish.
             for _ in range(500):
@@ -243,14 +230,11 @@ class TestFlowControlAndLifecycle:
             await _stop(svc, server, monitor)
 
         asyncio.run(main())
-        assert _shm_clean()
 
-    @pytest.mark.parametrize("transport", ["binary", "shm"])
-    def test_drain_during_live_stream_loses_nothing(self, transport):
+    def test_drain_during_live_stream_loses_nothing(self):
         # A drain sent from a second connection while a 2^20-key stream
         # is mid-flight must wait for it: the bytes arrive whole, the
-        # drain reply counts the job, a late submit is refused, and
-        # /dev/shm ends empty.
+        # drain reply counts the job, and a late submit is refused.
         keys, seed = 1 << 20, 11
 
         async def main():
@@ -262,7 +246,7 @@ class TestFlowControlAndLifecycle:
             job = {"kind": "sort", "n": 5, "faults": [3, 12, 21],
                    "keys": keys, "seed": seed, "kernels": "compiled",
                    "stream": True}
-            ack = await client.submit(job, transport=transport)
+            ack = await client.submit(job)
             assert ack["ok"], ack
             chunks, drain = [], None
             async for chunk in client.iter_result(ack["job_id"]):
@@ -289,7 +273,6 @@ class TestFlowControlAndLifecycle:
             await _stop(svc, server, client, ops, late)
 
         asyncio.run(main())
-        assert _shm_clean()
 
     def test_window_meters_consumption(self):
         # With window=1 and a consumer that acks one frame at a time, the
@@ -310,7 +293,46 @@ class TestFlowControlAndLifecycle:
             await _stop(svc, server, client)
 
         asyncio.run(main())
-        assert _shm_clean()
+
+    def test_server_drops_streamed_array_after_delivery(self, monkeypatch):
+        # Once a stream has been consumed and the job has left the
+        # in-flight set, nothing on the server may still reference the
+        # streamed array — in particular not the idle dispatcher.
+        import repro.service.server as server_mod
+
+        refs = []
+        real = server_mod.run_job_batch
+
+        def spy(specs):
+            payloads = real(specs)
+            for spec, payload in zip(specs, payloads):
+                if spec.stream and payload["ok"]:
+                    refs.append(weakref.ref(payload["result"]["sorted_keys"]))
+            return payloads
+
+        monkeypatch.setattr(server_mod, "run_job_batch", spy)
+
+        async def main():
+            svc = SortingService(stream_chunk=4096)
+            server, port = await _start(svc)
+            client = await ServiceClient.connect(port=port)
+            ack = await client.submit(
+                {"kind": "sort", "n": 4, "keys": 20_000, "seed": 5,
+                 "stream": True})
+            assert ack["ok"]
+            streamed = await client.collect_stream(ack["job_id"])
+            assert streamed.tobytes() == _expected(5, 20_000).tobytes()
+            for _ in range(500):
+                if svc.stats()["in_flight"] == 0:
+                    break
+                await asyncio.sleep(0.01)
+            assert svc.stats()["in_flight"] == 0
+            gc.collect()
+            assert len(refs) == 1
+            assert refs[0]() is None, "server still holds the streamed array"
+            await _stop(svc, server, client)
+
+        asyncio.run(main())
 
 
 class TestValidation:
@@ -332,16 +354,25 @@ class TestValidation:
 
         asyncio.run(main())
 
-    def test_bad_transport_rejected(self):
+    def test_legacy_transport_field_gets_binary_frames(self):
+        # Older clients could ask for a shared-memory transport; the
+        # server ignores the field and streams binary frames, which every
+        # client version reads.
+        keys, seed = 20_000, 9
+
         async def main():
             svc = SortingService()
             server, port = await _start(svc)
             client = await ServiceClient.connect(port=port)
-            ack = await client.submit(
-                {"kind": "sort", "keys": 64, "stream": True},
-                transport="carrier_pigeon")
-            assert not ack["ok"]
-            assert ack["error"] == "bad_request"
+            ack = await client._request({
+                "op": "submit", "tenant": "default", "transport": "shm",
+                "job": {"kind": "sort", "n": 4, "keys": keys, "seed": seed,
+                        "stream": True}})
+            assert ack["ok"], ack
+            chunks = [c async for c in client.iter_result(ack["job_id"])]
+            assert client.stream_summary(ack["job_id"])["ok"]
+            streamed = np.concatenate(chunks)
+            assert streamed.tobytes() == _expected(seed, keys).tobytes()
             await _stop(svc, server, client)
 
         asyncio.run(main())
