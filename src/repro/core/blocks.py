@@ -20,23 +20,22 @@ PAD_KEY = np.inf
 """The dummy key (the paper's ``infinity``)."""
 
 
-def pad_and_chunk(keys: np.ndarray | list, workers: int) -> tuple[list[np.ndarray], int]:
+def pad_and_chunk(keys: np.ndarray | list, workers: int) -> tuple[np.ndarray, int]:
     """Split ``keys`` into ``workers`` equal chunks, padding with ``+inf``.
 
-    Returns ``(chunks, block_size)`` where every chunk is an unsorted
-    1-D float array of length ``block_size = ceil(M / workers)`` (or 0 when
-    there are no keys).  Raises if ``workers <= 0``.
+    Returns ``(chunks, block_size)`` where ``chunks`` is one freshly
+    allocated ``(workers, block_size)`` float matrix whose rows are the
+    unsorted chunks, ``block_size = ceil(M / workers)`` (0 when there are
+    no keys).  Raises if ``workers <= 0`` or any key is not finite.
     """
     if workers <= 0:
         raise ValueError(f"need at least one working processor, got {workers}")
     arr = np.asarray(keys, dtype=float)
     if arr.ndim != 1:
         raise ValueError(f"keys must be 1-D, got shape {arr.shape}")
-    if np.isinf(arr).any():
+    if not np.isfinite(arr).all():
         raise ValueError("keys must be finite (+inf is reserved for padding)")
     m = int(arr.size)
-    if m == 0:
-        return [np.empty(0, dtype=float) for _ in range(workers)], 0
     block = -(-m // workers)  # ceil division
     padded = np.full(workers * block, PAD_KEY, dtype=float)
     padded[:m] = arr
@@ -46,7 +45,7 @@ def pad_and_chunk(keys: np.ndarray | list, workers: int) -> tuple[list[np.ndarra
         # every driver materializes its working store (only the real keys;
         # pads are control structure, not data).
         inj.corrupt(padded, m)
-    return [padded[i * block : (i + 1) * block] for i in range(workers)], block
+    return padded.reshape(workers, block), block
 
 
 def strip_padding(sorted_keys: np.ndarray, original_count: int) -> np.ndarray:

@@ -7,9 +7,17 @@ interpreter entirely: :func:`repro.core.schedule.lower_schedule` turns the
 static :class:`~repro.core.schedule.SortSchedule` into per-substage index
 arrays over one ``(workers, block)`` key matrix, and
 :func:`run_schedule_compiled` executes each substage as a handful of numpy
-operations — gather the paired rows, one vectorized probe, one batched
-exchange-split, scatter back — with the paper's comparison/traffic
+operations — one vectorized probe, a gather of the executed pairs, one
+batched selection, one scatter — with the paper's comparison/traffic
 accounting computed in *closed form* per substage.
+
+A compare-split only has to leave the ``k`` smallest keys of a pair's
+union on the min side, and a probe only reads a block's extremes.  So the
+executor keeps each row as an unsorted multiset plus its tracked minimum
+and maximum: ``ndarray.partition`` does the split (a selection, not the
+paper's linear merge), and every row is sorted once, after the last
+substage.  The final rows, and hence every output, are what merging
+would have produced.
 
 Exactness is the contract, not an aspiration:
 
@@ -134,9 +142,8 @@ def run_schedule_compiled(
         program = lower()
 
     keys_arr = np.asarray(keys, dtype=float)
-    chunks, block = pad_and_chunk(keys_arr, schedule.workers)
+    key_matrix, block = pad_and_chunk(keys_arr, schedule.workers)
     k = int(block)
-    key_matrix = np.stack(chunks) if chunks else np.empty((0, 0))
     obs_on = machine.obs.enabled
     met = machine.obs.metrics if obs_on else None
     # Active comparison injector (chaos fault universes): the flip mask is
@@ -146,6 +153,9 @@ def run_schedule_compiled(
     inj = active_comparison()
 
     # -- local sort (step 3a) ---------------------------------------------
+    # Rows stay unsorted until after the last substage (module docstring);
+    # ``row_min``/``row_max`` track each row's extremes.  Without exact
+    # counts the phase is charged in closed form and no sort runs here.
     rec = PhaseRecord("local-heapsort")
     if k > 0:
         if exact_counts:
@@ -153,24 +163,23 @@ def run_schedule_compiled(
         else:
             from repro.sorting.heapsort import heapsort_comparisons_worst_case
 
-            key_matrix = np.sort(key_matrix, axis=1, kind="stable")
             counts = np.full(
                 schedule.workers, heapsort_comparisons_worst_case(k), dtype=np.int64
             )
         rec.comparisons = int(counts.sum())
         rec.duration = float((counts * t_compare).max())
+        row_min = key_matrix.min(axis=1)
+        row_max = key_matrix.max(axis=1)
     _close_phase(machine, rec)
 
     # -- substages ---------------------------------------------------------
-    # Scratch buffers reused across substages (the allocator is measurable
-    # at 100+ substages): gathered operand rows and the lo/hi result rows,
-    # sorted with ONE in-place row-sort per substage (rows sort
-    # independently, so batching lo and hi together changes nothing).
+    # One scratch buffer reused across substages (the allocator is
+    # measurable at 100+ substages): an executed pair's two rows are
+    # gathered side by side, so row t of its ``(executed, 2k)`` view is
+    # pair t's union.
     max_pairs = max((int(s.a_rows.size) for s in program.substages), default=0)
     if max_pairs and k > 0:
-        gather_a = np.empty((max_pairs, k))
-        gather_b = np.empty((max_pairs, k))
-        lohi = np.empty((2 * max_pairs, k))
+        buf = np.empty((2 * max_pairs, k))
     for sub in program.substages:
         rec = PhaseRecord(sub.label)
         pair_count = int(sub.a_rows.size)
@@ -182,9 +191,13 @@ def run_schedule_compiled(
                 rec.elements_sent = 2 * k * pair_count
                 rec.element_hops = 2 * k * hop_sum
                 rec.messages = 2 * pair_count
-                tmp = key_matrix[sub.a_rows].copy()
-                key_matrix[sub.a_rows] = key_matrix[sub.b_rows]
-                key_matrix[sub.b_rows] = tmp
+                # Fancy indexing on the right copies before the write, so
+                # one assignment per array swaps the rows in place.
+                ab = np.concatenate((sub.a_rows, sub.b_rows))
+                ba = np.concatenate((sub.b_rows, sub.a_rows))
+                key_matrix[ab] = key_matrix[ba]
+                row_min[ab] = row_min[ba]
+                row_max[ab] = row_max[ba]
             _close_phase(machine, rec)
             # The interpreter counts mirror pairs (and their two messages)
             # into the sort.* metrics even for empty blocks — the phase
@@ -200,10 +213,11 @@ def run_schedule_compiled(
             _close_phase(machine, rec)
             continue
 
-        # Probe: each side ships one boundary key; the pair skips the block
+        # Probe: each side ships one boundary key (its sorted block's last
+        # or first key: the tracked extremes); the pair skips the block
         # exchange when the blocks are already correctly split.
-        a_last = key_matrix[sub.a_rows, k - 1]
-        b_first = key_matrix[sub.b_rows, 0]
+        a_last = row_max[sub.a_rows]
+        b_first = row_min[sub.b_rows]
         skip = a_last <= b_first
         if inj is not None:
             skip = skip ^ inj.flip_pairs(a_last, b_first, kind="probe")
@@ -225,24 +239,41 @@ def run_schedule_compiled(
         if executed:
             live_a = sub.a_rows[live]
             live_b = sub.b_rows[live]
-            a = np.take(key_matrix, live_a, axis=0, out=gather_a[:executed])
-            b = np.take(key_matrix, live_b, axis=0, out=gather_b[:executed])
+            rows = np.stack((live_a, live_b), axis=1).reshape(-1)
+            pairs = buf[:2 * executed]
+            # ``mode="clip"``: the default ``"raise"`` buffers ``out``;
+            # lowered indices are in range by construction.
+            np.take(key_matrix, rows, axis=0, out=pairs, mode="clip")
             if inj is not None:
-                b_rev = b[:, ::-1]
+                # Flip decisions depend on where keys sit in sorted
+                # blocks, so the lying duel runs on sorted rows exactly as
+                # the interpreter's does.
+                pairs.sort(axis=1)
+                a = pairs[0::2]
+                b_rev = pairs[1::2, ::-1]
                 le = (a <= b_rev) ^ inj.flip_pairs(a, b_rev)
-                lo = lohi[:executed]
-                hi = lohi[executed:2 * executed]
-                np.copyto(lo, np.where(le, a, b_rev))
-                np.copyto(hi, np.where(le, b_rev, a))
+                lo = np.where(le, a, b_rev)
+                hi = np.where(le, b_rev, a)
+                pairs[0::2] = lo
+                pairs[1::2] = hi
+                lo_min, lo_max = lo.min(axis=1), lo.max(axis=1)
+                hi_min, hi_max = hi.min(axis=1), hi.max(axis=1)
             else:
-                lo = np.minimum(a, b[:, ::-1], out=lohi[:executed])
-                hi = np.maximum(a, b[:, ::-1], out=lohi[executed:2 * executed])
-            # One in-place row-sort over both halves; each row is the
-            # ascending-then-descending half of a bitonic merge — two runs,
-            # which the stable (tim)sort merges in linear time.
-            lohi[:2 * executed].sort(axis=1, kind="stable")
-            key_matrix[live_a] = lo
-            key_matrix[live_b] = hi
+                # A compare-split keeps the k smallest keys of the union
+                # on the min side: a selection, not a merge.
+                union = pairs.reshape(executed, 2 * k)
+                union.partition(k, axis=1)
+                lo_min = np.minimum(row_min[live_a], row_min[live_b])
+                hi_max = np.maximum(row_max[live_a], row_max[live_b])
+                hi_min = union[:, k]
+                # Position k - 1 holds the min side's maximum in most rows
+                # but not all: partition only orders around the kth key.
+                lo_max = union[:, :k].max(axis=1)
+            key_matrix[rows] = pairs
+            row_min[live_a] = lo_min
+            row_max[live_a] = lo_max
+            row_min[live_b] = hi_min
+            row_max[live_b] = hi_max
             live_hops = sub.hops[live]
             node_t = probe_base[live] + _transfer_vec(par, first_leg, live_hops)
             if return_leg:
@@ -268,6 +299,9 @@ def run_schedule_compiled(
             if skipped:
                 met.inc("sort.cx.skipped", skipped)
             met.inc("sort.messages", messages)
+
+    # Every row now holds its final multiset; one sort puts each in order.
+    key_matrix.sort(axis=1)
 
     # -- gather ------------------------------------------------------------
     # Blocks are handed out as row views of the (now final) key matrix —

@@ -43,8 +43,9 @@ class TestPadAndChunk:
             pad_and_chunk([1.0], 0)
 
     def test_rejects_inf_keys(self):
-        with pytest.raises(ValueError):
-            pad_and_chunk([1.0, PAD_KEY], 2)
+        for bad in (PAD_KEY, -np.inf, np.nan):
+            with pytest.raises(ValueError, match="finite"):
+                pad_and_chunk([1.0, bad], 2)
 
     def test_rejects_2d(self):
         with pytest.raises(ValueError):
@@ -58,7 +59,7 @@ class TestPadAndChunk:
         chunks, block = pad_and_chunk(keys, workers)
         assert len(chunks) == workers
         assert all(c.size == block for c in chunks)
-        flat = np.concatenate(chunks) if chunks else np.empty(0)
+        flat = np.concatenate(chunks)
         finite = flat[np.isfinite(flat)]
         assert sorted(finite.tolist()) == sorted(float(k) for k in keys)
 

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.ftsort import fault_tolerant_sort, plan_partition
+from repro.core.spmd_sort import spmd_fault_tolerant_sort
 from repro.faults.inject import random_faulty_processors
 from repro.faults.model import FaultKind, FaultSet
 from repro.simulator.params import MachineParams
@@ -54,6 +55,26 @@ class TestDispatch:
     def test_bad_step8_mode_rejected(self):
         with pytest.raises(ValueError):
             fault_tolerant_sort([1.0], 3, [1, 2], step8="magic")
+
+
+class TestNonFiniteKeys:
+    """Every sort documents finite keys; a NaN must be refused up front,
+    not surface later as a broken sort."""
+
+    @staticmethod
+    def _keys_with_nans(m):
+        keys = np.linspace(0.0, 1.0, m)
+        keys[[m // 7, m // 2]] = np.nan
+        return keys
+
+    @pytest.mark.parametrize("kernels", ["loop", "numpy", "compiled"])
+    def test_nan_keys_rejected(self, kernels):
+        with pytest.raises(ValueError, match="finite"):
+            fault_tolerant_sort(self._keys_with_nans(1000), 5, [3, 9], kernels=kernels)
+
+    def test_nan_keys_rejected_by_spmd(self):
+        with pytest.raises(ValueError, match="finite"):
+            spmd_fault_tolerant_sort(self._keys_with_nans(200), 4, [3, 9])
 
 
 class TestPaperScenario:

@@ -108,6 +108,27 @@ class TestCompiledParity:
         results = _run_all(key_arr, 4, [3, 9, 14], params=params)
         _assert_identical(results["loop"], results["compiled"])
 
+    @pytest.mark.parametrize(
+        "n,faults,make_keys",
+        [
+            (3, [5], lambda rng: rng.integers(0, 100, 40_000).astype(float)),
+            (4, [3, 9, 14], lambda rng: rng.random(30_000)),
+            (5, PAPER_FAULTS, lambda rng: rng.permutation(
+                np.concatenate([np.full(10_000, 7.0), 14.0 * rng.random(10_000)]))),
+        ],
+        ids=["few-distinct-n3", "uniform-n4", "half-sevens-n5"],
+    )
+    def test_large_block_parity(self, n, faults, make_keys):
+        """Blocks of 834-5,715 keys, with heavy ties in two cases.  The
+        hypothesis test above never builds a block beyond 67 keys."""
+        key_arr = make_keys(np.random.default_rng(n))
+        results = _run_all(key_arr, n, faults)
+        np.testing.assert_array_equal(
+            results["compiled"].sorted_keys, np.sort(key_arr)
+        )
+        _assert_identical(results["loop"], results["compiled"])
+        _assert_identical(results["numpy"], results["compiled"])
+
     def test_empty_input(self):
         results = _run_all(np.asarray([], dtype=float), 3, [5])
         assert results["compiled"].sorted_keys.size == 0

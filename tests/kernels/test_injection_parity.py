@@ -32,8 +32,11 @@ def _keys(seed: int, m: int = 96) -> np.ndarray:
 @pytest.mark.parametrize("p", [0.0, 0.002, 0.02])
 @pytest.mark.parametrize("fault_procs", [(), (3, 5)], ids=["r0", "r2"])
 class TestInjectionByteIdentity:
-    def test_phase_engines_identical_under_lies(self, p, fault_procs):
-        keys = _keys(7)
+    # 4,000 keys make 250-key blocks (286 with two faults), where the
+    # compiled tier keeps rows unsorted between substages.
+    @pytest.mark.parametrize("m", [96, 4000])
+    def test_phase_engines_identical_under_lies(self, p, fault_procs, m):
+        keys = _keys(7, m)
         faults = FaultSet(4, fault_procs, kind=FaultKind.PARTIAL)
         outputs = {}
         stats = {}
