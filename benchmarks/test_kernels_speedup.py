@@ -5,6 +5,9 @@ Three headline measurements from the PERFORMANCE.md contract:
 * end-to-end :func:`fault_tolerant_sort` at ``n = 4``, ``M = 16000``,
   ``r = 3`` with the ``numpy`` backend versus the ``loop`` reference
   (same sorted bytes, same simulated cost — only wall-clock may differ);
+* the compiled tier with each substage's compare-splits split across the
+  usable cores versus the same call held to one core (``n = 10``,
+  ``M = 10^6``, faults ``{3, 9}``);
 * the memoized partition DFS versus its reference implementation at the
   hardest configuration the suite exercises (``n = 10``, ``r = 9``);
 * a chaos campaign run serially versus fanned out over worker processes.
@@ -25,6 +28,7 @@ import time
 import numpy as np
 import pytest
 
+import repro.parallel as parallel
 from repro.chaos.campaign import run_campaign
 from repro.core.ftsort import fault_tolerant_sort
 from repro.core.partition import _find_min_cuts_reference, find_min_cuts
@@ -39,6 +43,15 @@ CHAOS_JOBS = 4
 #: (a separate test so a host that cannot run the gate reports SKIPPED,
 #: never a silent pass).
 _campaign_timings: dict = {}
+
+
+def _records(result) -> list:
+    """Every phase record of a run, as comparable tuples."""
+    return [
+        (p.label, p.duration, p.comparisons, p.elements_sent,
+         p.element_hops, p.messages)
+        for p in result.machine.phases
+    ]
 
 
 def _best_of(fn, reps: int) -> float:
@@ -129,16 +142,11 @@ class TestCompiledScheduleSpeedup:
             name: fault_tolerant_sort(small, 5, [3, 5, 16, 24], kernels=name)
             for name in ("loop", "compiled")
         }
-        records = lambda r: [
-            (p.label, p.duration, p.comparisons, p.elements_sent,
-             p.element_hops, p.messages)
-            for p in r.machine.phases
-        ]
         parity = (
             parity
             and ref["compiled"].sorted_keys.tobytes() == ref["loop"].sorted_keys.tobytes()
             and ref["compiled"].elapsed == ref["loop"].elapsed
-            and records(ref["compiled"]) == records(ref["loop"])
+            and _records(ref["compiled"]) == _records(ref["loop"])
         )
 
         t_numpy = _best_of(
@@ -166,6 +174,51 @@ class TestCompiledScheduleSpeedup:
         if not fast_mode:
             assert speedup >= 10.0, (
                 f"expected >=10x at n={n} M={m_keys}, got {speedup:.2f}x")
+
+
+class TestCompiledSplitSpeedup:
+    """Each substage's compare-splits cut across the usable cores.
+
+    Runs the ROADMAP ledger point (``n = 10``, ``M = 10^6``, faults
+    ``{3, 9}``) with the default kernel thread budget and with the budget
+    held to 1, and asserts the two are identical in bytes, clock and phase
+    records.  ``speedup`` is one-core over default wall time, best-of; CI's
+    multi-core job gates it at full size.  On a one-CPU host both runs
+    take the serial path and the speedup reads about 1.
+    """
+
+    def test_split_vs_one_core(self, fast_mode, bench_json, monkeypatch):
+        n, faults = 10, [3, 9]
+        # Half size still splits most substages in two.
+        m_keys = 500_000 if fast_mode else 1_000_000
+        keys = np.random.default_rng(SEED).random(m_keys)
+
+        def run(threads):
+            # ``None`` restores the default budget (every usable core).
+            monkeypatch.setattr(parallel, "_kernel_threads", threads)
+            return fault_tolerant_sort(keys, n, faults, kernels="compiled")
+
+        split, serial = run(None), run(1)
+        parity = (
+            split.sorted_keys.tobytes() == serial.sorted_keys.tobytes()
+            and split.elapsed == serial.elapsed
+            and _records(split) == _records(serial)
+        )
+        reps = 3 if fast_mode else 5
+        t_serial = _best_of(lambda: run(1), reps)
+        t_split = _best_of(lambda: run(None), reps)
+        speedup = t_serial / t_split
+        cpus = effective_cpu_count()
+        print(f"\ncompiled n={n} M={m_keys} r={len(faults)}: one core "
+              f"{t_serial * 1e3:.1f}ms vs {cpus} cores {t_split * 1e3:.1f}ms "
+              f"({speedup:.2f}x)")
+        bench_json("kernels", "compiled_split", {
+            "n": n, "m_keys": m_keys, "faults": faults,
+            "serial_seconds": t_serial, "split_seconds": t_split,
+            "speedup": speedup, "parity": bool(parity),
+            "effective_cpu_count": cpus, "fast_mode": fast_mode,
+        })
+        assert parity, "splitting substages across cores changed the result"
 
 
 class TestPartitionMemoSpeedup:

@@ -333,8 +333,9 @@ class CompiledSubstage:
     the source :class:`CxPair` is already resolved, so the executor needs no
     keep_min branching.  For ``kind == "mirror"``, the two rows swap whole
     blocks.  ``hops[t]`` is the routing distance the pair's transfers are
-    charged over.  All arrays are read-only (compiled programs are cached
-    and shared across runs).
+    charged over; ``uniform_hops`` is that distance when every pair shares
+    it, else ``None``.  All arrays are read-only (compiled programs are
+    cached and shared across runs).
     """
 
     label: str
@@ -342,6 +343,7 @@ class CompiledSubstage:
     a_rows: np.ndarray
     b_rows: np.ndarray
     hops: np.ndarray
+    uniform_hops: int | None = None
 
 
 @dataclass(frozen=True)
@@ -395,12 +397,15 @@ def lower_schedule(schedule: SortSchedule, hops_of=None) -> CompiledSchedule:
                 a_idx.append(row[pair.low])
                 b_idx.append(row[pair.high])
         count = len(a_idx)
-        if sub.uniform_hops is not None:
-            hops = np.full(count, sub.uniform_hops, dtype=np.int64)
+        uniform = sub.uniform_hops
+        if uniform is not None:
+            hops = np.full(count, uniform, dtype=np.int64)
         else:
             hops = np.fromiter(
                 (hops_of(p.low, p.high) for p in sub.pairs), dtype=np.int64, count=count
             )
+            if count and (hops == hops[0]).all():
+                uniform = int(hops[0])
         lowered.append(
             CompiledSubstage(
                 label=sub.label,
@@ -408,6 +413,7 @@ def lower_schedule(schedule: SortSchedule, hops_of=None) -> CompiledSchedule:
                 a_rows=_frozen(np.asarray(a_idx, dtype=np.intp)),
                 b_rows=_frozen(np.asarray(b_idx, dtype=np.intp)),
                 hops=_frozen(hops),
+                uniform_hops=uniform,
             )
         )
     return CompiledSchedule(

@@ -19,6 +19,16 @@ paper's linear merge), and every row is sorted once, after the last
 substage.  The final rows, and hence every output, are what merging
 would have produced.
 
+A substage's compare-splits touch disjoint rows, so a big enough call
+cuts the executed pairs into contiguous chunks, one per core the process
+may use (:func:`repro.parallel.kernel_threads`).  The calling thread runs
+the first chunk's gather, selection and scatter while helper threads run
+the others; numpy releases the GIL inside each of those calls.  The
+final row sort is cut the same way.  Each chunk owns its own rows and
+buffer slices, and everything else (the probe, the accounting, mirror
+swaps) stays on the calling thread, so the split cannot change an
+output.
+
 Exactness is the contract, not an aspiration:
 
 * sorted output, per-phase :class:`~repro.simulator.phases.PhaseRecord`
@@ -36,12 +46,21 @@ path that is *not* schedule-driven (the SPMD machine's per-message kernels,
 
 from __future__ import annotations
 
+import os
+import threading
+
 import numpy as np
 
 from repro.faults.injectors import active_comparison
 from repro.kernels.numpy_backend import NumpyBackend, heapsort_batch
 
 __all__ = ["CompiledBackend", "run_schedule_compiled"]
+
+#: Fewest keys worth a chunk of their own: union keys (2k per executed
+#: pair) for a substage, row keys for the final sort.  Below it a helper
+#: thread's hand-off costs more than the chunk's work saves.  Measured
+#: crossover: docs/PERFORMANCE.md §1, "Substages across cores".
+_MIN_CHUNK_KEYS = 1 << 16
 
 
 class CompiledBackend(NumpyBackend):
@@ -60,19 +79,62 @@ class CompiledBackend(NumpyBackend):
     schedule_compiled = True
 
 
-def _transfer_vec(params, elements: int, hops: np.ndarray) -> np.ndarray:
-    """Vectorized :meth:`MachineParams.transfer_time` over a hops array.
+_helpers = None  # ThreadPoolExecutor, made on first use
+_helpers_key = (0, 0)  # (pid, threads) it was made for
+_helpers_lock = threading.Lock()
 
-    The scalar expression is replicated term-for-term (same literals, same
-    association) so each element is bit-identical to the interpreter's
-    per-pair ``transfer_time`` result.
+
+def _helper_pool(threads: int):
+    """The process's helper threads.
+
+    Re-made when the pid changes: the warm process pool forks, and a
+    forked child inherits the pool object but none of its threads.
     """
-    if elements == 0:
-        return np.zeros(hops.shape)
-    if params.switching == "cut_through":
-        t = (params.t_startup + elements * params.t_element) + (hops - 1) * params.t_element
-        return np.where(hops > 0, t, 0.0)
-    return hops * (params.t_startup + elements * params.t_element)
+    global _helpers, _helpers_key
+    key = (os.getpid(), threads)
+    with _helpers_lock:
+        if _helpers is None or _helpers_key != key:
+            from concurrent.futures import ThreadPoolExecutor
+
+            _helpers = ThreadPoolExecutor(threads, thread_name_prefix="repro-kernel")
+            _helpers_key = key
+        return _helpers
+
+
+def _in_chunks(pool, chunks: int, count: int, fn, *args) -> None:
+    """Run ``fn(lo, hi, *args)`` over ``chunks`` contiguous slices of
+    ``range(count)``: the calling thread takes the first, helpers the rest.
+
+    Every chunk is joined before an exception propagates, so no helper
+    still writes into the caller's arrays once this returns or raises.
+    """
+    bounds = [count * i // chunks for i in range(chunks + 1)]
+    futures = [pool.submit(fn, bounds[i], bounds[i + 1], *args)
+               for i in range(1, chunks)]
+    try:
+        fn(bounds[0], bounds[1], *args)
+    finally:
+        # ``exception()`` waits for its chunk and does not raise.
+        errors = [fut.exception() for fut in futures]
+    for err in errors:
+        if err is not None:
+            raise err
+
+
+def _split_pairs(lo, hi, key_matrix, rows, pairs, lo_max, k) -> None:
+    """Compare-split executed pairs ``lo..hi-1``, allocating nothing: they
+    own ``rows[2lo:2hi]``, ``pairs[2lo:2hi]`` and ``lo_max[lo:hi]``."""
+    idx = rows[2 * lo:2 * hi]
+    own = pairs[2 * lo:2 * hi]
+    np.take(key_matrix, idx, axis=0, out=own, mode="clip")
+    union = own.reshape(hi - lo, 2 * k)
+    union.partition(k, axis=1)
+    np.max(union[:, :k], axis=1, out=lo_max[lo:hi])
+    key_matrix[idx] = own
+
+
+def _sort_rows(lo, hi, key_matrix) -> None:
+    key_matrix[lo:hi].sort(axis=1)
 
 
 def _close_phase(machine, rec) -> None:
@@ -180,14 +242,28 @@ def run_schedule_compiled(
     max_pairs = max((int(s.a_rows.size) for s in program.substages), default=0)
     if max_pairs and k > 0:
         buf = np.empty((2 * max_pairs, k))
+    # Whether to split across cores is decided once per call: a call too
+    # small for two chunks never looks up the budget or the helper pool
+    # (nor imports repro.parallel, which pulls in multiprocessing).
+    threads = 1
+    if key_matrix.size >= 2 * _MIN_CHUNK_KEYS:
+        from repro.parallel import kernel_threads
+
+        threads = kernel_threads()
+    if threads > 1:
+        pool = _helper_pool(threads - 1)
+        lo_max_buf = np.empty(max_pairs)
     for sub in program.substages:
         rec = PhaseRecord(sub.label)
         pair_count = int(sub.a_rows.size)
+        hops = sub.hops
+        h = sub.uniform_hops
         if sub.kind == "mirror":
             if pair_count and k > 0:
-                swap_t = _transfer_vec(par, k, sub.hops)
-                rec.duration = float(swap_t.max())
-                hop_sum = int(sub.hops.sum())
+                # transfer_time is non-decreasing in hops: the slowest
+                # swap is the one over the most hops.
+                rec.duration = par.transfer_time(k, h if h is not None else int(hops.max()))
+                hop_sum = pair_count * h if h is not None else int(hops.sum())
                 rec.elements_sent = 2 * k * pair_count
                 rec.element_hops = 2 * k * hop_sum
                 rec.messages = 2 * pair_count
@@ -226,25 +302,37 @@ def run_schedule_compiled(
         skipped = pair_count - executed
         first_leg = (k + 1) // 2
         return_leg = k // 2
+        if h is not None:
+            skip_h = live_h = h
+            hop_sum = pair_count * h
+            live_hop_sum = executed * h
+        else:
+            live_hops = hops[live]
+            skip_h = int(hops[skip].max()) if skipped else 0
+            live_h = int(live_hops.max()) if executed else 0
+            hop_sum = int(hops.sum())
+            live_hop_sum = int(live_hops.sum())
         # Per-node clock, replicating the interpreter's addition order:
         # probe transfer, probe compare, first leg, return leg, merge
         # compute.  The phase duration is the max — always attained at a
-        # probed-only node or an executed pair's ceil-half node.
-        probe_base = _transfer_vec(par, 1, sub.hops) + t_compare
-        duration = float(probe_base[skip].max()) if skipped else 0.0
+        # probed-only node or an executed pair's ceil-half node.  Every
+        # term is non-decreasing in the pair's hop count and IEEE rounding
+        # is monotone, so each max is the clock of the pair with the most
+        # hops, computed once.
+        duration = par.transfer_time(1, skip_h) + t_compare if skipped else 0.0
         comparisons = 2 * pair_count
         elements_sent = 2 * pair_count
-        element_hops = 2 * int(sub.hops.sum())
+        element_hops = 2 * hop_sum
         messages = 2 * pair_count
         if executed:
             live_a = sub.a_rows[live]
             live_b = sub.b_rows[live]
             rows = np.stack((live_a, live_b), axis=1).reshape(-1)
             pairs = buf[:2 * executed]
-            # ``mode="clip"``: the default ``"raise"`` buffers ``out``;
-            # lowered indices are in range by construction.
-            np.take(key_matrix, rows, axis=0, out=pairs, mode="clip")
             if inj is not None:
+                # ``mode="clip"``: the default ``"raise"`` buffers ``out``;
+                # lowered indices are in range by construction.
+                np.take(key_matrix, rows, axis=0, out=pairs, mode="clip")
                 # Flip decisions depend on where keys sit in sorted
                 # blocks, so the lying duel runs on sorted rows exactly as
                 # the interpreter's does.
@@ -258,31 +346,40 @@ def run_schedule_compiled(
                 pairs[1::2] = hi
                 lo_min, lo_max = lo.min(axis=1), lo.max(axis=1)
                 hi_min, hi_max = hi.min(axis=1), hi.max(axis=1)
+                key_matrix[rows] = pairs
             else:
                 # A compare-split keeps the k smallest keys of the union
                 # on the min side: a selection, not a merge.
                 union = pairs.reshape(executed, 2 * k)
-                union.partition(k, axis=1)
+                chunks = min(threads, executed, 2 * k * executed // _MIN_CHUNK_KEYS)
+                if chunks > 1:
+                    lo_max = lo_max_buf[:executed]
+                    _in_chunks(pool, chunks, executed, _split_pairs,
+                               key_matrix, rows, pairs, lo_max, k)
+                else:
+                    # _split_pairs's steps, inline: calling it here made
+                    # 2,048-key sorts about 10% slower.
+                    np.take(key_matrix, rows, axis=0, out=pairs, mode="clip")
+                    union.partition(k, axis=1)
+                    # Position k - 1 holds the min side's maximum in most
+                    # rows but not all: partition only orders around the
+                    # kth key.
+                    lo_max = union[:, :k].max(axis=1)
+                    key_matrix[rows] = pairs
                 lo_min = np.minimum(row_min[live_a], row_min[live_b])
                 hi_max = np.maximum(row_max[live_a], row_max[live_b])
                 hi_min = union[:, k]
-                # Position k - 1 holds the min side's maximum in most rows
-                # but not all: partition only orders around the kth key.
-                lo_max = union[:, :k].max(axis=1)
-            key_matrix[rows] = pairs
             row_min[live_a] = lo_min
             row_max[live_a] = lo_max
             row_min[live_b] = hi_min
             row_max[live_b] = hi_max
-            live_hops = sub.hops[live]
-            node_t = probe_base[live] + _transfer_vec(par, first_leg, live_hops)
+            node_t = par.transfer_time(1, live_h) + t_compare
+            node_t = node_t + par.transfer_time(first_leg, live_h)
             if return_leg:
-                node_t = node_t + _transfer_vec(par, return_leg, live_hops)
+                node_t = node_t + par.transfer_time(return_leg, live_h)
             node_t = node_t + (first_leg + k - 1) * t_compare
-            exec_max = float(node_t.max())
-            if exec_max > duration:
-                duration = exec_max
-            live_hop_sum = int(live_hops.sum())
+            if node_t > duration:
+                duration = node_t
             comparisons += executed * (k + 2 * (k - 1))
             elements_sent += 2 * k * executed
             element_hops += 2 * (first_leg + return_leg) * live_hop_sum
@@ -301,7 +398,11 @@ def run_schedule_compiled(
             met.inc("sort.messages", messages)
 
     # Every row now holds its final multiset; one sort puts each in order.
-    key_matrix.sort(axis=1)
+    chunks = min(threads, schedule.workers, key_matrix.size // _MIN_CHUNK_KEYS)
+    if chunks > 1:
+        _in_chunks(pool, chunks, schedule.workers, _sort_rows, key_matrix)
+    else:
+        key_matrix.sort(axis=1)
 
     # -- gather ------------------------------------------------------------
     # Blocks are handed out as row views of the (now final) key matrix —

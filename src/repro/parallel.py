@@ -42,6 +42,7 @@ from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 __all__ = [
     "effective_cpu_count",
     "jobs_from_env",
+    "kernel_threads",
     "last_run_stats",
     "resolve_jobs",
     "run_tasks",
@@ -69,6 +70,22 @@ def effective_cpu_count() -> int:
         if count > 0:
             return count
     return os.cpu_count() or 1
+
+
+#: Set to 1 in warm-pool workers (:func:`_warm_worker`); ``None`` elsewhere.
+_kernel_threads: int | None = None
+
+
+def kernel_threads() -> int:
+    """Threads one sort call may spread its compare-splits over.
+
+    An ordinary process gets :func:`effective_cpu_count`.  A warm-pool
+    worker gets 1: the pool already runs one task per core, so ``--jobs N``
+    must not start ``N`` times the cores in threads.  The compiled kernel
+    tier (:func:`repro.kernels.compiled.run_schedule_compiled`) reads this
+    once per call; it is derived, not a knob.
+    """
+    return _kernel_threads or effective_cpu_count()
 
 
 def resolve_jobs(jobs: int | str | None) -> int:
@@ -108,7 +125,10 @@ def jobs_from_env(default: int | str | None = 1) -> int:
 
 
 def _warm_worker() -> None:
-    """Pool initializer: pre-import the simulation stack once per worker."""
+    """Pool initializer: keep each worker's kernels on one core
+    (:func:`kernel_threads`) and pre-import the simulation stack once."""
+    global _kernel_threads
+    _kernel_threads = 1
     import repro.chaos.campaign  # noqa: F401  (pulls in core, simulator, obs)
 
 

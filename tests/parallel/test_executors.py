@@ -93,6 +93,23 @@ class TestResolveExecutor:
         assert executor(100, jobs=4) == "serial"
 
 
+def _kernel_budget(_task) -> int:
+    return parallel.kernel_threads()
+
+
+class TestKernelThreads:
+    """The compiled tier's per-call thread budget."""
+
+    def test_every_usable_core_in_an_ordinary_process(self):
+        assert parallel.kernel_threads() == 4  # the fixture's patched count
+
+    def test_pool_workers_run_kernels_on_one_core(self):
+        """``--jobs N`` already runs one task per core: a worker's sort
+        must not start more threads on top."""
+        assert run_tasks(_kernel_budget, range(4), jobs=2) == [1] * 4
+        assert parallel.last_run_stats()["executor"] == "process"
+
+
 def _sorted_sum(task):
     idx, arr = task
     return (idx, float(np.sort(arr).sum()), arr[: 8].copy())
