@@ -3,8 +3,10 @@
 Three headline measurements from the PERFORMANCE.md contract:
 
 * end-to-end :func:`fault_tolerant_sort` at ``n = 4``, ``M = 16000``,
-  ``r = 3`` with the ``numpy`` backend versus the ``loop`` reference
+  ``r = 3`` with the ``compiled`` backend versus the ``loop`` reference
   (same sorted bytes, same simulated cost — only wall-clock may differ);
+* the compiled schedule executor versus the same kernels on the per-pair
+  interpreter (``n = 15``, ``M = 10^6``, ``r = 4``);
 * the compiled tier with each substage's compare-splits split across the
   usable cores versus the same call held to one core (``n = 10``,
   ``M = 10^6``, faults ``{3, 9}``);
@@ -14,7 +16,7 @@ Three headline measurements from the PERFORMANCE.md contract:
 
 ``--fast`` shrinks the workloads for CI smoke runs; the speedup *floors*
 are only asserted where they are meaningful (full-size workload, enough
-CPUs), but "numpy never slower than loop" holds in every mode.  The
+CPUs), but "compiled never slower than loop" holds in every mode.  The
 multi-core campaign floor is its own test: it records ``cpu_count`` and
 its verdict in the bench JSON and **skips visibly** (never silently
 passes) on hosts that cannot exhibit a parallel speedup.
@@ -54,6 +56,10 @@ def _records(result) -> list:
     ]
 
 
+def _no_op_observer(machine, record) -> None:
+    """Attached only to route a ``compiled`` sort through the interpreter."""
+
+
 def _best_of(fn, reps: int) -> float:
     best = float("inf")
     for _ in range(reps):
@@ -64,76 +70,81 @@ def _best_of(fn, reps: int) -> float:
 
 
 class TestFtsortKernelSpeedup:
-    def test_numpy_vs_loop_end_to_end(self, fast_mode, bench_json):
+    def test_compiled_vs_loop_end_to_end(self, fast_mode, bench_json):
         m_keys = 4000 if fast_mode else 16000
         keys = np.random.default_rng(SEED).random(m_keys)
 
         results = {
             name: fault_tolerant_sort(keys, N, FAULTS_Q4, kernels=name)
-            for name in ("numpy", "loop")
+            for name in ("compiled", "loop")
         }
         # Backend choice changes execution strategy only: identical bytes
         # out, identical simulated cost.
         np.testing.assert_array_equal(
-            results["numpy"].sorted_keys, results["loop"].sorted_keys
+            results["compiled"].sorted_keys, results["loop"].sorted_keys
         )
-        np.testing.assert_array_equal(results["numpy"].sorted_keys, np.sort(keys))
-        assert results["numpy"].elapsed == results["loop"].elapsed
-        assert results["numpy"].output_order == results["loop"].output_order
+        np.testing.assert_array_equal(results["compiled"].sorted_keys, np.sort(keys))
+        assert results["compiled"].elapsed == results["loop"].elapsed
+        assert results["compiled"].output_order == results["loop"].output_order
 
         t_loop = _best_of(
             lambda: fault_tolerant_sort(keys, N, FAULTS_Q4, kernels="loop"),
             reps=1 if fast_mode else 2,
         )
-        t_numpy = _best_of(
-            lambda: fault_tolerant_sort(keys, N, FAULTS_Q4, kernels="numpy"),
+        t_compiled = _best_of(
+            lambda: fault_tolerant_sort(keys, N, FAULTS_Q4, kernels="compiled"),
             reps=3 if fast_mode else 5,
         )
-        speedup = t_loop / t_numpy
+        speedup = t_loop / t_compiled
         print(f"\nftsort n={N} M={m_keys} r={len(FAULTS_Q4)}: "
-              f"loop {t_loop * 1e3:.1f}ms vs numpy {t_numpy * 1e3:.1f}ms "
+              f"loop {t_loop * 1e3:.1f}ms vs compiled {t_compiled * 1e3:.1f}ms "
               f"({speedup:.1f}x)")
         bench_json("kernels", "ftsort", {
             "n": N, "m_keys": m_keys, "faults": FAULTS_Q4,
-            "loop_seconds": t_loop, "numpy_seconds": t_numpy,
+            "loop_seconds": t_loop, "compiled_seconds": t_compiled,
             "speedup": speedup, "fast_mode": fast_mode,
         })
-        assert t_numpy <= t_loop, (
-            f"numpy backend slower than loop reference ({t_numpy:.4f}s vs "
+        assert t_compiled <= t_loop, (
+            f"compiled backend slower than loop reference ({t_compiled:.4f}s vs "
             f"{t_loop:.4f}s)")
         if not fast_mode:
             assert speedup >= 5.0, f"expected >=5x at M={m_keys}, got {speedup:.2f}x"
 
 
 class TestCompiledScheduleSpeedup:
-    """The compiled flat-array tier versus the interpreted numpy backend.
+    """The schedule executor versus the same kernels on the interpreter.
 
-    The compiled tier's win is eliminating the per-pair Python hot path
+    The executor's win is eliminating the per-pair Python hot path
     (block dicts, charge calls, probe decisions), so the headline
     measurement runs where that path dominates: a big cube (many
-    comparator pairs per substage) at ``M = 10^6`` keys.  Parity is
+    comparator pairs per substage) at ``M = 10^6`` keys.  A no-op phase
+    observer routes the baseline through the per-pair interpreter, which
+    runs the ``compiled`` backend's vectorized kernels.  Parity is
     asserted, not assumed — byte-identical sorted output and bit-identical
-    simulated clock against ``numpy`` at full size, and exact per-phase
-    counter equality against the pure-Python ``loop`` reference at a size
-    the interpreter can afford — and recorded as the ``parity`` flag CI
+    simulated clock against the interpreter route at full size, and exact
+    per-phase counter equality against the pure-Python ``loop`` reference
+    at a size it can afford — and recorded as the ``parity`` flag CI
     validates.
     """
 
-    def test_compiled_vs_numpy_end_to_end(self, fast_mode, bench_json):
+    def test_compiled_vs_interpreted_end_to_end(self, fast_mode, bench_json):
         n = 8 if fast_mode else 15
         m_keys = 100_000 if fast_mode else 1_000_000
         faults = [3, 9, 14, (1 << n) - 6]  # r = 4
         keys = np.random.default_rng(SEED).random(m_keys)
 
-        results = {
-            name: fault_tolerant_sort(keys, n, faults, kernels=name)
-            for name in ("numpy", "compiled")
-        }
+        def interpreted():
+            return fault_tolerant_sort(keys, n, faults, kernels="compiled",
+                                       observer=_no_op_observer)
+
+        def compiled():
+            return fault_tolerant_sort(keys, n, faults, kernels="compiled")
+
+        base, fast = interpreted(), compiled()
         parity = (
-            results["compiled"].sorted_keys.tobytes()
-            == results["numpy"].sorted_keys.tobytes()
-            and results["compiled"].elapsed == results["numpy"].elapsed
-            and results["compiled"].output_order == results["numpy"].output_order
+            fast.sorted_keys.tobytes() == base.sorted_keys.tobytes()
+            and fast.elapsed == base.elapsed
+            and fast.output_order == base.output_order
         )
         # Exact counter parity against the loop reference, at a size the
         # per-pair interpreter can run in bench time.
@@ -149,28 +160,22 @@ class TestCompiledScheduleSpeedup:
             and _records(ref["compiled"]) == _records(ref["loop"])
         )
 
-        t_numpy = _best_of(
-            lambda: fault_tolerant_sort(keys, n, faults, kernels="numpy"),
-            reps=1 if fast_mode else 2,
-        )
-        t_compiled = _best_of(
-            lambda: fault_tolerant_sort(keys, n, faults, kernels="compiled"),
-            reps=3 if fast_mode else 3,
-        )
-        speedup = t_numpy / t_compiled
+        t_interpreted = _best_of(interpreted, reps=1 if fast_mode else 2)
+        t_compiled = _best_of(compiled, reps=3)
+        speedup = t_interpreted / t_compiled
         print(f"\nftsort n={n} M={m_keys} r={len(faults)}: "
-              f"numpy {t_numpy * 1e3:.1f}ms vs compiled {t_compiled * 1e3:.1f}ms "
-              f"({speedup:.1f}x)")
+              f"interpreted {t_interpreted * 1e3:.1f}ms vs compiled "
+              f"{t_compiled * 1e3:.1f}ms ({speedup:.1f}x)")
         bench_json("kernels", "compiled", {
             "n": n, "m_keys": m_keys, "faults": faults,
-            "numpy_seconds": t_numpy, "compiled_seconds": t_compiled,
+            "interpreted_seconds": t_interpreted, "compiled_seconds": t_compiled,
             "speedup": speedup, "parity": bool(parity),
             "fast_mode": fast_mode,
         })
-        assert parity, "compiled tier diverged from the interpreted backends"
-        assert t_compiled <= t_numpy, (
-            f"compiled backend slower than numpy ({t_compiled:.4f}s vs "
-            f"{t_numpy:.4f}s)")
+        assert parity, "compiled tier diverged from the interpreter route"
+        assert t_compiled <= t_interpreted, (
+            f"schedule executor slower than the interpreter route "
+            f"({t_compiled:.4f}s vs {t_interpreted:.4f}s)")
         if not fast_mode:
             assert speedup >= 10.0, (
                 f"expected >=10x at n={n} M={m_keys}, got {speedup:.2f}x")

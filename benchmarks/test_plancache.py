@@ -1,7 +1,7 @@
 """Plan-cache speedup benchmark — writes ``BENCH_plancache.json``.
 
-Headline measurement: the seeded chaos campaign (phase engine, numpy
-kernels) run three ways over the *same* scenario stream —
+Headline measurement: the seeded chaos campaign (phase engine, default
+``compiled`` kernels) run three ways over the *same* scenario stream —
 
 * **nocache** — :data:`repro.plancache.PLAN_CACHE` disabled, the
   pre-cache baseline;
@@ -116,7 +116,7 @@ class TestCacheTransparency:
         """Cache off / cold / warm produce identical sorts on both kernels."""
         keys = np.random.default_rng(SEED).random(2048)
         cases = [(4, [3, 9, 14]), (5, [3, 5, 16, 24])]
-        for kernels in ("numpy", "loop"):
+        for kernels in ("compiled", "loop"):
             for n, faults in cases:
                 PLAN_CACHE.configure(enabled=False)
                 PLAN_CACHE.clear(reset_counters=True)
@@ -130,7 +130,7 @@ class TestCacheTransparency:
                     assert run.elapsed == off.elapsed
                     assert run.output_order == off.output_order
         bench_json("plancache", "transparency", {
-            "kernels": ["numpy", "loop"],
+            "kernels": ["compiled", "loop"],
             "cases": [{"n": n, "faults": faults} for n, faults in cases],
             "identical": True,
         })

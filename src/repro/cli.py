@@ -3,7 +3,7 @@
 Subcommands::
 
     repro sort    --n 6 --faults 3,5,16 --keys 10000 [--kind total] [--spmd]
-                  [--kernels numpy|loop|compiled]
+                  [--kernels loop|compiled]
     repro trace   --n 6 --faults 7,25,52 --out trace.json [--spmd]
     repro plan    --n 5 --faults 3,5,16,24
     repro diagnose --n 6 --faults 3,5,16 [--seed 7]
@@ -33,10 +33,10 @@ JSONL report, failures shrunk to minimal reproducers; ``--jobs`` fans
 scenarios out over the warm process pool with identical results (the
 serial loop when one CPU or a small batch cannot win — see
 docs/PERFORMANCE.md).
-``--kernels`` on ``sort``/``trace`` selects the execution backend for the
-sorting inner loops (``numpy`` vectorized default, ``loop`` pure-Python
-reference, ``compiled`` flat-array schedule programs; see
-docs/PERFORMANCE.md) — outputs and counts are identical.
+``--kernels`` on ``sort``/``trace``/``submit`` selects the execution
+backend for the sorting inner loops (``compiled`` flat-array schedule
+programs and vectorized kernels, the default; ``loop`` pure-Python
+reference; see docs/PERFORMANCE.md) — outputs and counts are identical.
 ``serve`` runs the sorting-as-a-service job server (JSONL over TCP, or
 stdin/stdout with ``--stdio``) until drained by SIGTERM/SIGINT or a client
 ``drain``; run one per host and widen it with ``--jobs`` (docs/SERVICE.md).
@@ -59,6 +59,7 @@ from repro.core.ftsort import fault_tolerant_sort, plan_partition
 from repro.core.spmd_sort import spmd_fault_tolerant_sort
 from repro.faults.diagnosis import diagnose_pmc, pmc_syndrome
 from repro.faults.model import FaultKind, FaultSet
+from repro.kernels import available_backends
 from repro.obs import Tracer, flame_report, step_report, write_chrome_trace
 
 __all__ = ["main"]
@@ -472,8 +473,8 @@ def main(argv: list[str] | None = None) -> int:
     p_sort.add_argument("--seed", type=int, default=0)
     p_sort.add_argument("--spmd", action="store_true",
                         help="run on the discrete-event message-passing engine")
-    p_sort.add_argument("--kernels", choices=("numpy", "loop", "compiled"), default=None,
-                        help="kernel execution backend (default: numpy, or "
+    p_sort.add_argument("--kernels", choices=available_backends(), default=None,
+                        help="kernel execution backend (default: compiled, or "
                              "$REPRO_KERNELS)")
     p_sort.set_defaults(func=_cmd_sort)
 
@@ -491,8 +492,8 @@ def main(argv: list[str] | None = None) -> int:
                          help="rows in the flame-style self-time report")
     p_trace.add_argument("--spmd", action="store_true",
                          help="trace the discrete-event message-passing engine")
-    p_trace.add_argument("--kernels", choices=("numpy", "loop", "compiled"), default=None,
-                         help="kernel execution backend (default: numpy, or "
+    p_trace.add_argument("--kernels", choices=available_backends(), default=None,
+                         help="kernel execution backend (default: compiled, or "
                               "$REPRO_KERNELS)")
     p_trace.set_defaults(func=_cmd_trace)
 
@@ -590,7 +591,7 @@ def main(argv: list[str] | None = None) -> int:
                           help="base seed (job i uses seed + i)")
     p_submit.add_argument("--backend", choices=("phase", "spmd"),
                           default="phase")
-    p_submit.add_argument("--kernels", choices=("numpy", "loop", "compiled"), default=None)
+    p_submit.add_argument("--kernels", choices=available_backends(), default=None)
     p_submit.add_argument("--fault-class", type=str, default="baseline",
                           help="fault universe for chaos jobs (one registered "
                                "class; see 'repro chaos --help')")

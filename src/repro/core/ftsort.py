@@ -420,7 +420,7 @@ def fault_tolerant_sort(
         # program instead of interpreting per-pair.  The full-sort ablation
         # and per-phase observers are not modeled by the schedule builder /
         # executor; those fall through to the interpreter (which still uses
-        # this backend's inherited numpy kernels).
+        # this backend's vectorized kernels).
         return _compiled_ft_sort(
             keys, fault_set, params, exact_counts, obs, partition, selection
         )

@@ -71,10 +71,9 @@ def local_sort_blocks(
             paper's worst-case formula (the paper's own analysis charges
             the worst case) and only sort values.
         kernels: kernel backend (or name); ``None`` uses the process
-            default.  A batched backend sorts every equal-size block in
-            one 2-D operation — with ``exact_counts``, via the masked
-            vectorized heapsort whose per-block counts match the scalar
-            reference exactly.
+            default.  The backend sorts every live block (all one size)
+            as one 2-D batch — with ``exact_counts``, with per-block
+            counts that match the scalar reference heapsort exactly.
     """
     kern = resolve_backend(kernels)
     with machine.phase(label):
@@ -84,27 +83,16 @@ def local_sort_blocks(
                 machine.set_block(addr, block)
             else:
                 live.append((addr, block))
-        sizes = {b.size for _, b in live}
-        if kern.batched and len(live) > 1 and len(sizes) == 1:
+        if live:
             stacked = np.stack([b for _, b in live])
             if exact_counts:
                 rows, counts = kern.sort_blocks_counted(stacked)
             else:
                 rows = kern.sort_blocks(stacked)
-                counts = [heapsort_comparisons_worst_case(int(b.size)) for _, b in live]
+                counts = [heapsort_comparisons_worst_case(stacked.shape[1])] * len(live)
             for t, (addr, _) in enumerate(live):
                 machine.set_block(addr, rows[t])
                 machine.charge_compute(addr, int(counts[t]))
-        else:
-            for addr, block in live:
-                if exact_counts:
-                    sorted_block, comps = kern.sort_block_counted(block)
-                    comps = int(comps)
-                else:
-                    sorted_block = kern.sort_block(block)
-                    comps = heapsort_comparisons_worst_case(int(block.size))
-                machine.set_block(addr, sorted_block)
-                machine.charge_compute(addr, comps)
 
 
 def _run_cube_sort_compiled(

@@ -22,9 +22,9 @@ the cross-validation DESIGN.md promises.
 
 ``--kernels compiled`` has no whole-schedule fast path here: the SPMD
 engine's point is per-processor message fidelity, which a flattened
-key-matrix program would bypass.  The compiled backend therefore degrades
-gracefully — it inherits the numpy backend's block primitives (local
-sorts, compare-splits), and results stay identical to ``numpy``.
+key-matrix program would bypass.  The compiled backend therefore runs
+its vectorized block kernels here (local sorts, duels, run merges), and
+results stay identical to ``loop``.
 """
 
 from __future__ import annotations
@@ -151,25 +151,19 @@ def _make_program(schedule: SortSchedule, blocks: dict[int, np.ndarray], kernels
 
     ``blocks`` maps rank -> initial unsorted block and is updated in place
     with the final blocks (the harness reads it after the run).  The local
-    sorts (paper step 3, exact heapsort counts) are precomputed here — all
-    blocks share one size, so a batched backend runs them as a single 2-D
-    operation; each program charges its own exact count at the same point
-    of its timeline as before.
+    sorts (paper step 3, exact heapsort counts) are precomputed here as
+    one 2-D batch — all blocks share one size; each program charges its
+    own exact count at the same point of its timeline.
     """
     kern = resolve_backend(kernels)
     live_ranks = [rank for rank in sorted(blocks) if blocks[rank].size]
-    sizes = {blocks[rank].size for rank in live_ranks}
     local: dict[int, tuple[np.ndarray, int]] = {}
-    if kern.batched and len(live_ranks) > 1 and len(sizes) == 1:
+    if live_ranks:
         rows, comps = kern.sort_blocks_counted(
             np.stack([blocks[rank] for rank in live_ranks])
         )
         for t, rank in enumerate(live_ranks):
             local[rank] = (rows[t], int(comps[t]))
-    else:
-        for rank in live_ranks:
-            row, comps = kern.sort_block_counted(blocks[rank])
-            local[rank] = (row, int(comps))
 
     plan: dict[int, list[tuple[int, object]]] = {rank: [] for rank in blocks}
     for idx, substage in enumerate(schedule.substages):

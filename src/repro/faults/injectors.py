@@ -1,9 +1,9 @@
 """Deterministic fault injectors shared by every execution backend.
 
 Two injector families, both *seeded and stateless per decision* so that
-every backend — the pure-Python ``loop`` kernels, the vectorized ``numpy``
-kernels, the whole-schedule ``compiled`` tier, and the message-level SPMD
-engine — makes byte-identical fault decisions for the same seed:
+every route — the pure-Python ``loop`` kernels, the ``compiled`` tier's
+vectorized kernels and its whole-schedule executor, and the message-level
+SPMD engine — makes byte-identical fault decisions for the same seed:
 
 * :class:`ComparisonInjector` — persistent random comparator lies (the
   Geissmann et al. model): a comparison between keys ``x`` and ``y`` is

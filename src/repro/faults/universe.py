@@ -19,7 +19,7 @@ Registered classes (see docs/ROBUSTNESS.md §6 for the full taxonomy):
 ``comparison``
     :class:`ComparisonFaults` — persistent random comparator lies with
     rate ``p`` (Geissmann et al.), injected identically into the
-    ``loop``/``numpy``/``compiled`` kernels and the SPMD probe; judged by
+    ``loop``/``compiled`` kernels and the SPMD probe; judged by
     the max-dislocation / unordered-pairs oracle of
     :mod:`repro.faults.oracles` against :func:`comparison_tolerance`.
 ``memory``

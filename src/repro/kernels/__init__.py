@@ -1,4 +1,4 @@
-"""repro.kernels — pluggable vectorized kernels for the sorting hot paths.
+"""repro.kernels — pluggable kernels for the sorting hot paths.
 
 The paper's cost model (Section 4) charges the three inner kernels
 analytically — ``((M/N') - 1) log2(M/N') t_c`` for the local heapsort,
@@ -6,36 +6,36 @@ analytically — ``((M/N') - 1) log2(M/N') t_c`` for the local heapsort,
 *executes* them.  This package separates the two concerns exactly the way
 the resilient-sorting literature does (comparison-count *model* vs kernel
 *execution*): every execution engine routes its data movement through one
-of three interchangeable backends:
+of two interchangeable backends:
 
-* ``"numpy"`` (default) — the fast path: batched 2-D sorts, vectorized
-  exchange-splits, and a masked vectorized sift-down that reproduces the
-  reference heapsort's *exact* per-block comparison counts while
-  processing every processor block at once;
-* ``"loop"`` — the reference path: element-at-a-time pure-Python kernels
-  (the textbook heapsort, two-pointer run merges) whose behavior is
-  obviously the algorithm the paper describes;
-* ``"compiled"`` — the schedule-compiled tier: the phase engine's whole
+* ``"compiled"`` (default) — the fast path.  The phase engine's whole
   oblivious :class:`~repro.core.schedule.SortSchedule` is lowered to
   per-substage index arrays over one ``(workers, block)`` key matrix and
   executed as a handful of numpy ops per substage, with comparison/traffic
-  accounting computed in closed form (see :mod:`repro.kernels.compiled`);
-  non-schedule paths inherit the numpy kernels.
+  accounting computed in closed form.  Paths without a schedule (per-phase
+  observers, the full-sort ablation, the SPMD machine, ``compare_split``)
+  run its vectorized kernels: batched 2-D sorts, 2-D exchange-splits, and
+  a masked vectorized sift-down that reproduces the reference heapsort's
+  *exact* per-block comparison counts while processing every block at
+  once (see :mod:`repro.kernels.compiled`);
+* ``"loop"`` — the reference path: element-at-a-time pure-Python kernels
+  (the textbook heapsort, two-pointer run merges) whose behavior is
+  obviously the algorithm the paper describes.
 
 The backends are interchangeable by construction: identical sorted output,
 identical comparison/exchange accounting, identical simulated clock (the
 property tests in ``tests/kernels/`` enforce all three).  The ``loop``
-backend is the executable specification; ``numpy``/``compiled`` are what
-production runs use, and ``benchmarks/test_kernels_speedup.py`` tracks the
-speedups between them in ``BENCH_kernels.json``.
+backend is the executable specification; ``compiled`` is what production
+runs use, and ``benchmarks/test_kernels_speedup.py`` tracks its speedups
+in ``BENCH_kernels.json``.
 
 Selecting a backend
 -------------------
 Every entry point takes a ``kernels=`` argument (a backend name or
 instance); ``None`` falls back to the process default, which is the
-``REPRO_KERNELS`` environment variable or ``"numpy"``.  The CLI exposes
-``repro sort/trace ... --kernels numpy|loop|compiled``.  See
-docs/PERFORMANCE.md.
+``REPRO_KERNELS`` environment variable when it names a backend, else
+``"compiled"``.  The CLI exposes ``repro sort/trace/submit ...
+--kernels loop|compiled``.  See docs/PERFORMANCE.md.
 """
 
 from __future__ import annotations
@@ -45,29 +45,21 @@ import os
 from repro.kernels.base import KernelBackend
 from repro.kernels.compiled import CompiledBackend
 from repro.kernels.loop import LoopBackend
-from repro.kernels.numpy_backend import NumpyBackend
 
 __all__ = [
     "CompiledBackend",
     "KernelBackend",
     "LoopBackend",
-    "NumpyBackend",
     "available_backends",
     "default_backend_name",
     "get_backend",
     "resolve_backend",
-    "set_default_backend",
 ]
 
 _BACKENDS: dict[str, KernelBackend] = {
-    "numpy": NumpyBackend(),
     "loop": LoopBackend(),
     "compiled": CompiledBackend(),
 }
-
-#: Process-wide override set via :func:`set_default_backend`; ``None`` means
-#: "consult the ``REPRO_KERNELS`` environment variable, else ``numpy``".
-_DEFAULT_OVERRIDE: str | None = None
 
 
 def available_backends() -> tuple[str, ...]:
@@ -77,25 +69,12 @@ def available_backends() -> tuple[str, ...]:
 
 def default_backend_name() -> str:
     """The name resolved when callers pass ``kernels=None``."""
-    if _DEFAULT_OVERRIDE is not None:
-        return _DEFAULT_OVERRIDE
-    name = os.environ.get("REPRO_KERNELS", "numpy")
-    return name if name in _BACKENDS else "numpy"
-
-
-def set_default_backend(name: str | None) -> None:
-    """Set (or with ``None`` clear) the process-wide default backend."""
-    global _DEFAULT_OVERRIDE
-    if name is not None and name not in _BACKENDS:
-        raise ValueError(
-            f"unknown kernel backend {name!r}; available: {available_backends()}"
-        )
-    _DEFAULT_OVERRIDE = name
+    name = os.environ.get("REPRO_KERNELS", "compiled")
+    return name if name in _BACKENDS else "compiled"
 
 
 def get_backend(name: str) -> KernelBackend:
-    """The registered backend called ``name`` (``'numpy'``, ``'loop'``, or
-    ``'compiled'``)."""
+    """The registered backend called ``name`` (``'loop'`` or ``'compiled'``)."""
     try:
         return _BACKENDS[name]
     except KeyError:

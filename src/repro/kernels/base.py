@@ -7,9 +7,10 @@ compare-exchange legs — while the callers keep full control of the cost
 backend-independent; only exact heapsort comparison counts are
 data-dependent, and those every backend must reproduce identically).
 
-Array conventions: blocks are 1-D float ndarrays sorted ascending unless
-stated otherwise; batched entry points take C-contiguous 2-D arrays with
-one block per row (all rows the same length).
+Array conventions: blocks are 1-D float ndarrays sorted ascending; the
+local sort and :meth:`KernelBackend.split_blocks` take C-contiguous 2-D
+arrays with one block per row (all rows the same length).  Callers stack
+every live block of a phase into one batch, however many there are.
 """
 
 from __future__ import annotations
@@ -22,12 +23,8 @@ import numpy as np
 class KernelBackend(ABC):
     """Interchangeable kernel implementations (see :mod:`repro.kernels`)."""
 
-    #: Registry name (``"numpy"`` / ``"loop"``).
+    #: Registry name (``"loop"`` / ``"compiled"``).
     name: str = "abstract"
-
-    #: True when the batched entry points are genuinely vectorized (the
-    #: stage-batched compare-exchange path is only worth taking then).
-    batched: bool = False
 
     #: True when the phase engine should bypass its per-pair interpreter and
     #: execute the whole lowered :class:`~repro.core.schedule.SortSchedule`
@@ -37,23 +34,13 @@ class KernelBackend(ABC):
     # -- local sort -------------------------------------------------------
 
     @abstractmethod
-    def sort_block(self, block: np.ndarray) -> np.ndarray:
-        """Ascending sort of one block (values only, input untouched)."""
+    def sort_blocks(self, blocks: np.ndarray) -> np.ndarray:
+        """Ascending row-wise sort of a 2-D batch (values only)."""
 
     @abstractmethod
-    def sort_block_counted(self, block: np.ndarray) -> tuple[np.ndarray, int]:
-        """Ascending sort of one block plus the *exact* heapsort comparison
-        count — the number the reference heapsort performs on this data."""
-
-    @abstractmethod
-    def sort_blocks(self, blocks: np.ndarray, descending: bool = False) -> np.ndarray:
-        """Row-wise sort of a 2-D batch (values only)."""
-
-    @abstractmethod
-    def sort_blocks_counted(
-        self, blocks: np.ndarray, descending: bool = False
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Row-wise sort plus exact per-row heapsort comparison counts."""
+    def sort_blocks_counted(self, blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Row-wise sort plus the *exact* per-row heapsort comparison
+        counts — the numbers the reference heapsort performs on this data."""
 
     # -- exchange-split ---------------------------------------------------
 

@@ -1,15 +1,15 @@
-"""The ``compiled`` backend: whole-schedule execution as a flat array program.
+"""The ``compiled`` backend: the vectorized kernels, and whole-schedule
+execution as a flat array program.
 
-The ``numpy`` backend vectorizes *within* a substage but the phase engine
-still walks per-processor Python objects between substages — block dicts,
-per-pair charge calls, per-pair probe decisions.  This tier removes that
-interpreter entirely: :func:`repro.core.schedule.lower_schedule` turns the
-static :class:`~repro.core.schedule.SortSchedule` into per-substage index
+The phase engine's schedule executor is this tier's main route:
+:func:`repro.core.schedule.lower_schedule` turns the static
+:class:`~repro.core.schedule.SortSchedule` into per-substage index
 arrays over one ``(workers, block)`` key matrix, and
 :func:`run_schedule_compiled` executes each substage as a handful of numpy
 operations — one vectorized probe, a gather of the executed pairs, one
 batched selection, one scatter — with the paper's comparison/traffic
-accounting computed in *closed form* per substage.
+accounting computed in *closed form* per substage.  No per-processor
+Python object exists between substages.
 
 A compare-split only has to leave the ``k`` smallest keys of a pair's
 union on the min side, and a probe only reads a block's extremes.  So the
@@ -29,19 +29,35 @@ buffer slices, and everything else (the probe, the accounting, mirror
 swaps) stays on the calling thread, so the split cannot change an
 output.
 
+Off the schedule — the per-pair interpreter (per-phase ``observer``
+callbacks, the ``step8="full-sort"`` ablation), the SPMD machine's
+per-message legs, and :func:`repro.sorting.merge.compare_split` — the
+backend's kernel methods run the same operations on whole batches:
+
+* **local sort** — one row-wise ``np.sort`` when the caller charges the
+  closed-form worst case; with exact counts, :func:`heapsort_batch` runs
+  the reference heapsort on every row at once, one masked sift-down step
+  per Python iteration, counting per-row comparisons with boolean masks.
+  The counts are exactly those of :func:`repro.sorting.heapsort.heapsort`
+  because the control flow is the same — only the row axis is
+  vectorized;
+* **exchange-split** — ``min``/``max`` against the reversed partner plus
+  one sort per side (the exchange-split lemma of
+  :mod:`repro.sorting.merge`), for every live pair of a substage as one
+  2-D array operation;
+* **SPMD legs** — the duel is one pair's exchange-split (the winners are
+  the min side's low half or the max side's high half), and a run merge
+  is a concatenate-and-sort.
+
 Exactness is the contract, not an aspiration:
 
 * sorted output, per-phase :class:`~repro.simulator.phases.PhaseRecord`
   counters, the ``sort.*`` observability counters, **and the simulated
-  clock** are identical to the interpreted ``loop``/``numpy`` engines —
+  clock** are identical on every route and to the ``loop`` spec —
   bit-for-bit, including IEEE-754 float accumulation order (the executor
   replicates the interpreter's per-node addition sequence exactly);
 * the parity suite in ``tests/kernels/`` asserts all of the above across
   dimensions, fault plans, block skews, and plan-cache warm replay.
-
-:class:`CompiledBackend` subclasses :class:`NumpyBackend`, so every code
-path that is *not* schedule-driven (the SPMD machine's per-message kernels,
-``merge_split``) transparently degrades to the vectorized numpy kernels.
 """
 
 from __future__ import annotations
@@ -52,9 +68,9 @@ import threading
 import numpy as np
 
 from repro.faults.injectors import active_comparison
-from repro.kernels.numpy_backend import NumpyBackend, heapsort_batch
+from repro.kernels.base import KernelBackend
 
-__all__ = ["CompiledBackend", "run_schedule_compiled"]
+__all__ = ["CompiledBackend", "heapsort_batch", "run_schedule_compiled"]
 
 #: Fewest keys worth a chunk of their own: union keys (2k per executed
 #: pair) for a substage, row keys for the final sort.  Below it a helper
@@ -63,8 +79,66 @@ __all__ = ["CompiledBackend", "run_schedule_compiled"]
 _MIN_CHUNK_KEYS = 1 << 16
 
 
-class CompiledBackend(NumpyBackend):
-    """Numpy kernels plus whole-schedule flat-array execution.
+def _sift_down_batch(a: np.ndarray, rows: np.ndarray, start: int, end: int,
+                     comps: np.ndarray) -> None:
+    """One sift-down from ``start`` over every row of ``a``, masked.
+
+    Mirrors ``repro.sorting.heapsort._sift_down`` exactly, with the block
+    axis vectorized: ``alive`` marks rows whose sift-down is still walking
+    down the heap; per-row comparison counts accumulate into ``comps``.
+    """
+    nrows = a.shape[0]
+    root = np.full(nrows, start, dtype=np.intp)
+    alive = np.ones(nrows, dtype=bool)
+    while True:
+        child = 2 * root + 1
+        alive &= child < end
+        if not alive.any():
+            return
+        # Clamp dead rows to a safe index; their reads are masked out.
+        child = np.where(alive, child, 0)
+        has_sibling = alive & (2 * root + 2 < end)
+        sibling = np.where(has_sibling, child + 1, 0)
+        comps += has_sibling
+        go_right = has_sibling & (a[rows, child] < a[rows, sibling])
+        child = np.where(go_right, sibling, child)
+        comps += alive
+        swap = alive & (a[rows, root] < a[rows, child])
+        srows = rows[swap]
+        sroot = root[swap]
+        schild = child[swap]
+        tmp = a[srows, sroot].copy()
+        a[srows, sroot] = a[srows, schild]
+        a[srows, schild] = tmp
+        root = np.where(swap, child, root)
+        alive = swap
+
+
+def heapsort_batch(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Heapsort every row of a 2-D batch, with exact per-row counts.
+
+    Returns ``(sorted_rows, comparisons)`` where ``comparisons[t]`` equals
+    what :func:`repro.sorting.heapsort.heapsort` reports for row ``t``.
+    The input is not modified.  Python-level iterations scale with the
+    block length only, so the batch axis is effectively free.
+    """
+    a = np.array(blocks, copy=True)
+    if a.ndim != 2:
+        raise ValueError(f"heapsort_batch expects a 2-D batch, got shape {a.shape}")
+    nrows, m = a.shape
+    comps = np.zeros(nrows, dtype=np.int64)
+    if m > 1:
+        rows = np.arange(nrows)
+        for start in range(m // 2 - 1, -1, -1):
+            _sift_down_batch(a, rows, start, m, comps)
+        for end in range(m - 1, 0, -1):
+            a[:, [0, end]] = a[:, [end, 0]]
+            _sift_down_batch(a, rows, 0, end, comps)
+    return a, comps
+
+
+class CompiledBackend(KernelBackend):
+    """Vectorized kernels plus whole-schedule flat-array execution.
 
     The flag :attr:`schedule_compiled` is what the phase-engine entry points
     (:func:`repro.core.ftsort.fault_tolerant_sort`,
@@ -72,11 +146,58 @@ class CompiledBackend(NumpyBackend):
     route a run through :func:`run_schedule_compiled` instead of the
     per-pair interpreter.  Paths the compiler does not model (the
     ``step8="full-sort"`` ablation, per-phase ``observer`` callbacks, the
-    SPMD discrete-event machine) fall back to the inherited numpy kernels.
+    SPMD discrete-event machine) run the kernel methods below.
     """
 
     name = "compiled"
     schedule_compiled = True
+
+    # -- local sort -------------------------------------------------------
+
+    def sort_blocks(self, blocks: np.ndarray) -> np.ndarray:
+        return np.sort(np.asarray(blocks), axis=1, kind="stable")
+
+    def sort_blocks_counted(self, blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return heapsort_batch(blocks)
+
+    # -- exchange-split ---------------------------------------------------
+
+    def split_pair(self, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        low, high = self.split_blocks(np.asarray(a)[None, :], np.asarray(b)[None, :])
+        return low[0], high[0]
+
+    def split_blocks(
+        self, a: np.ndarray, b: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        a = np.asarray(a)
+        b_rev = np.asarray(b)[:, ::-1]
+        inj = active_comparison()
+        if inj is not None:
+            # Lying duels: flip the <= verdict wherever the injector says;
+            # minimum/maximum(a, b) is where(a <= b, ...) elementwise, so
+            # the fault-free path below is the flips-all-False case.
+            le = (a <= b_rev) ^ inj.flip_pairs(a, b_rev)
+            return (
+                np.sort(np.where(le, a, b_rev), axis=1, kind="stable"),
+                np.sort(np.where(le, b_rev, a), axis=1, kind="stable"),
+            )
+        return (
+            np.sort(np.minimum(a, b_rev), axis=1, kind="stable"),
+            np.sort(np.maximum(a, b_rev), axis=1, kind="stable"),
+        )
+
+    # -- SPMD compare-exchange legs --------------------------------------
+
+    def cx_winners_losers(
+        self, mine: np.ndarray, received: np.ndarray, want_min: bool
+    ) -> tuple[np.ndarray, np.ndarray]:
+        # The duel is the exchange-split's: the min side's winners are its
+        # low half.
+        low, high = self.split_pair(mine, received)
+        return (low, high) if want_min else (high, low)
+
+    def merge_runs(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        return np.sort(np.concatenate([np.asarray(a), np.asarray(b)]), kind="stable")
 
 
 _helpers = None  # ThreadPoolExecutor, made on first use

@@ -105,31 +105,21 @@ class LoopBackend(KernelBackend):
     """Pure-Python reference kernels (see module docstring)."""
 
     name = "loop"
-    batched = False
 
     # -- local sort -------------------------------------------------------
 
-    def sort_block(self, block: np.ndarray) -> np.ndarray:
-        out, _ = heapsort(block)
+    def sort_blocks(self, blocks: np.ndarray) -> np.ndarray:
+        out, _ = self.sort_blocks_counted(blocks)
         return out
 
-    def sort_block_counted(self, block: np.ndarray) -> tuple[np.ndarray, int]:
-        return heapsort(block)
-
-    def sort_blocks(self, blocks: np.ndarray, descending: bool = False) -> np.ndarray:
-        out, _ = self.sort_blocks_counted(blocks, descending=descending)
-        return out
-
-    def sort_blocks_counted(
-        self, blocks: np.ndarray, descending: bool = False
-    ) -> tuple[np.ndarray, np.ndarray]:
+    def sort_blocks_counted(self, blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         blocks = np.asarray(blocks)
         if blocks.ndim != 2:
             raise ValueError(f"expected a 2-D batch, got shape {blocks.shape}")
         rows = []
         counts = np.zeros(blocks.shape[0], dtype=np.int64)
         for t in range(blocks.shape[0]):
-            row, comps = heapsort(blocks[t], descending=descending)
+            row, comps = heapsort(blocks[t])
             rows.append(row)
             counts[t] = comps
         stacked = (

@@ -45,6 +45,8 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass
 
+from repro.kernels import available_backends
+
 __all__ = [
     "JOB_KINDS",
     "JobSpec",
@@ -83,7 +85,8 @@ class JobSpec:
         keys: number of keys to sort (sort).
         seed: RNG seed — keys are regenerated server-side from it, so the
             wire never carries key data.
-        kernels: execution backend (``None`` = process default).
+        kernels: kernel backend name, ``'loop'`` or ``'compiled'``
+            (``None`` = process default).
         backend: ``"phase"`` or ``"spmd"`` (sort).
         index: scenario index within the seeded stream (chaos).
         fault_class: registered fault universe the scenario draws from
@@ -165,9 +168,9 @@ class JobSpec:
         if backend not in ("phase", "spmd"):
             raise ProtocolError(f"backend must be 'phase' or 'spmd', got {backend!r}")
         kernels = raw.get("kernels")
-        if kernels not in (None, "numpy", "loop", "compiled"):
+        if kernels is not None and kernels not in available_backends():
             raise ProtocolError(
-                f"kernels must be 'numpy', 'loop' or 'compiled', got {kernels!r}")
+                f"kernels must be one of {available_backends()}, got {kernels!r}")
 
         faults_raw = raw.get("faults", [])
         if not isinstance(faults_raw, (list, tuple)):

@@ -123,11 +123,11 @@ def run_exchange_jobs(
     over *disjoint* node pairs; the call must happen inside an open machine
     phase.  Probes, skip decisions, and every cost charge are evaluated
     per pair exactly as :func:`exchange_pair` does — only the block data
-    movement is delegated to the kernel backend, which (when vectorized)
-    processes all surviving pairs of the substage as one array operation.
-    Accounting is order-independent inside a phase (the clock advances by
-    the per-node maximum at the barrier), so the batched and per-pair
-    paths are indistinguishable to the machine.
+    movement is delegated to the kernel backend, which receives every
+    surviving pair of the substage stacked into one batch (live blocks
+    all have one size).  Accounting is order-independent inside a phase
+    (the clock advances by the per-node maximum at the barrier), so
+    batching is invisible to the machine.
     """
     kern = resolve_backend(kernels)
     # Comparison-fault universes flip probe verdicts too — a lying probe
@@ -169,29 +169,17 @@ def run_exchange_jobs(
                 continue
         live.append((addr_low, addr_high, low_keeps_min, hops, a, b))
     if live:
-        sizes = {a.size for _, _, _, _, a, b in live} | {b.size for _, _, _, _, a, b in live}
-        if kern.batched and len(live) > 1 and len(sizes) == 1:
-            # Stage-batched fast path: one 2-D exchange-split over every pair.
-            # Row t's min-keeping side goes into X, the other into Y.
-            x = np.stack([a if km else b for _, _, km, _, a, b in live])
-            y = np.stack([b if km else a for _, _, km, _, a, b in live])
-            lows, highs = kern.split_blocks(x, y)
-            for t, (addr_low, addr_high, km, hops, a, b) in enumerate(live):
-                min_addr, max_addr = (addr_low, addr_high) if km else (addr_high, addr_low)
-                machine.blocks[min_addr] = lows[t]
-                machine.blocks[max_addr] = highs[t]
-                messages += _charge_exchange(
-                    machine, addr_low, addr_high, int(a.size), hops, probe
-                )
-        else:
-            for addr_low, addr_high, km, hops, a, b in live:
-                low, high = kern.split_pair(a, b)
-                min_addr, max_addr = (addr_low, addr_high) if km else (addr_high, addr_low)
-                machine.blocks[min_addr] = low
-                machine.blocks[max_addr] = high
-                messages += _charge_exchange(
-                    machine, addr_low, addr_high, int(a.size), hops, probe
-                )
+        # Row t's min-keeping side goes into X, the other into Y.
+        x = np.stack([a if km else b for _, _, km, _, a, b in live])
+        y = np.stack([b if km else a for _, _, km, _, a, b in live])
+        lows, highs = kern.split_blocks(x, y)
+        for t, (addr_low, addr_high, km, hops, a, b) in enumerate(live):
+            min_addr, max_addr = (addr_low, addr_high) if km else (addr_high, addr_low)
+            machine.blocks[min_addr] = lows[t]
+            machine.blocks[max_addr] = highs[t]
+            messages += _charge_exchange(
+                machine, addr_low, addr_high, int(a.size), hops, probe
+            )
     if machine.obs.enabled and (messages or skipped or live):
         m = machine.obs.metrics
         if live:

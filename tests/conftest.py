@@ -24,3 +24,19 @@ def assert_sorted_output(result, keys):
     """Common oracle: result.sorted_keys equals numpy's sort of the input."""
     expected = np.sort(np.asarray(keys, dtype=float), kind="stable")
     np.testing.assert_array_equal(result.sorted_keys, expected)
+
+
+def _no_op_observer(machine, record) -> None:
+    """Attached only to route a ``compiled`` sort through the interpreter."""
+
+
+#: ``fault_tolerant_sort`` arguments per route of the kernel parity suites:
+#: the ``loop`` spec, the compiled kernels on the per-pair interpreter (the
+#: schedule executor does not model phase observers; sorts with ``r <= 1``
+#: ignore them and run the executor again), and the compiled schedule
+#: executor.
+KERNEL_ROUTES = {
+    "loop": dict(kernels="loop"),
+    "interpreted": dict(kernels="compiled", observer=_no_op_observer),
+    "compiled": dict(kernels="compiled"),
+}

@@ -1,30 +1,38 @@
-"""Property tests: the numpy and loop backends are indistinguishable.
+"""Property tests: the compiled and loop backends are indistinguishable.
 
 The contract of :mod:`repro.kernels` is that backend choice changes
 *execution strategy only*: sorted outputs are byte-identical and every
-comparison/traffic count is identical.  Hypothesis drives both backends
-over random block sizes, descending flags, and dead-node (empty) sentinel
-blocks, and a small end-to-end fault-tolerant sort pins the whole-pipeline
-statement.
+comparison/traffic count is identical.  Hypothesis drives both backends'
+kernels over random batch shapes (pinned examples add a one-row batch,
+widths 0 and 1, and rows whose comparison counts differ), and a small
+end-to-end fault-tolerant sort pins the whole-pipeline statement.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.core.ftsort import fault_tolerant_sort
 from repro.kernels import get_backend
-from repro.kernels.numpy_backend import heapsort_batch
+from repro.kernels.compiled import heapsort_batch
 from repro.sorting.heapsort import heapsort
 
-NUMPY = get_backend("numpy")
+COMPILED = get_backend("compiled")
 LOOP = get_backend("loop")
 
 finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, width=32)
 blocks_strategy = st.lists(
     st.lists(finite, min_size=1, max_size=24), min_size=1, max_size=10
 ).map(lambda rows: [np.asarray(r, dtype=float) for r in rows])
+
+#: Batches the strategy draws rarely or never: one row, and widths 0 and 1.
+ONE_ROW = [np.asarray([5.0, -1.0, 3.0, 3.0, 0.5, 2.0, 7.0])]
+WIDTH_ZERO = [np.empty(0)] * 3
+WIDTH_ONE = [np.asarray([4.0]), np.asarray([-2.0]), np.asarray([0.0])]
+#: Rows whose heapsort counts differ (16 and 14): a per-row count mix-up
+#: shows on every run, not only when the strategy happens to draw one.
+COUNTS_DIFFER = [np.arange(1.0, 7.0), np.arange(6.0, 0.0, -1.0)]
 
 
 def _equalize(rows: list[np.ndarray]) -> np.ndarray:
@@ -33,34 +41,33 @@ def _equalize(rows: list[np.ndarray]) -> np.ndarray:
 
 
 class TestLocalSortParity:
-    @given(blocks=blocks_strategy, descending=st.booleans())
-    def test_batched_sort_matches_loop_and_scalar(self, blocks, descending):
+    @example(blocks=ONE_ROW)
+    @example(blocks=WIDTH_ZERO)
+    @example(blocks=WIDTH_ONE)
+    @example(blocks=COUNTS_DIFFER)
+    @given(blocks=blocks_strategy)
+    def test_batched_sort_matches_loop_and_scalar(self, blocks):
         batch = _equalize(blocks)
-        out_np, comps_np = NUMPY.sort_blocks_counted(batch, descending=descending)
-        out_loop, comps_loop = LOOP.sort_blocks_counted(batch, descending=descending)
-        np.testing.assert_array_equal(out_np, out_loop)
-        np.testing.assert_array_equal(comps_np, comps_loop)
+        out_c, comps_c = COMPILED.sort_blocks_counted(batch)
+        out_loop, comps_loop = LOOP.sort_blocks_counted(batch)
+        assert out_c.shape == out_loop.shape == batch.shape
+        np.testing.assert_array_equal(out_c, out_loop)
+        np.testing.assert_array_equal(comps_c, comps_loop)
         for t in range(batch.shape[0]):
-            row, comps = heapsort(batch[t], descending=descending)
-            np.testing.assert_array_equal(out_np[t], row)
-            assert int(comps_np[t]) == comps
+            row, comps = heapsort(batch[t])
+            np.testing.assert_array_equal(out_c[t], row)
+            assert int(comps_c[t]) == comps
 
-    @given(blocks=blocks_strategy, descending=st.booleans())
-    def test_values_only_sort_matches(self, blocks, descending):
+    @example(blocks=ONE_ROW)
+    @example(blocks=WIDTH_ZERO)
+    @example(blocks=WIDTH_ONE)
+    @given(blocks=blocks_strategy)
+    def test_values_only_sort_matches(self, blocks):
         batch = _equalize(blocks)
-        np.testing.assert_array_equal(
-            NUMPY.sort_blocks(batch, descending=descending),
-            LOOP.sort_blocks(batch, descending=descending),
-        )
-
-    @given(block=st.lists(finite, min_size=0, max_size=40))
-    def test_single_block_matches(self, block):
-        arr = np.asarray(block, dtype=float)
-        out_np, c_np = NUMPY.sort_block_counted(arr)
-        out_loop, c_loop = LOOP.sort_block_counted(arr)
-        np.testing.assert_array_equal(out_np, out_loop)
-        assert c_np == c_loop
-        np.testing.assert_array_equal(NUMPY.sort_block(arr), LOOP.sort_block(arr))
+        out_c = COMPILED.sort_blocks(batch)
+        assert out_c.shape == batch.shape
+        np.testing.assert_array_equal(out_c, LOOP.sort_blocks(batch))
+        np.testing.assert_array_equal(out_c, np.sort(batch, axis=1))
 
     def test_heapsort_batch_handles_width_zero_and_one(self):
         for width in (0, 1):
@@ -78,14 +85,14 @@ class TestSplitParity:
         half = len(data) // 2
         a = np.sort(np.asarray(data[:half], dtype=float))
         b = np.sort(np.asarray(data[half:], dtype=float))
-        low_np, high_np = NUMPY.split_pair(a, b)
+        low_c, high_c = COMPILED.split_pair(a, b)
         low_loop, high_loop = LOOP.split_pair(a, b)
-        np.testing.assert_array_equal(low_np, low_loop)
-        np.testing.assert_array_equal(high_np, high_loop)
+        np.testing.assert_array_equal(low_c, low_loop)
+        np.testing.assert_array_equal(high_c, high_loop)
         # Exchange-split lemma: low holds the k smallest of the union.
         union = np.sort(np.concatenate([a, b]))
-        np.testing.assert_array_equal(low_np, union[:half])
-        np.testing.assert_array_equal(high_np, union[half:])
+        np.testing.assert_array_equal(low_c, union[:half])
+        np.testing.assert_array_equal(high_c, union[half:])
 
     @given(blocks=blocks_strategy)
     def test_split_blocks_matches_per_pair(self, blocks):
@@ -95,10 +102,10 @@ class TestSplitParity:
         half = batch.shape[0] // 2
         a = np.sort(batch[:half], axis=1)
         b = np.sort(batch[half : 2 * half], axis=1)
-        lows_np, highs_np = NUMPY.split_blocks(a, b)
+        lows_c, highs_c = COMPILED.split_blocks(a, b)
         lows_loop, highs_loop = LOOP.split_blocks(a, b)
-        np.testing.assert_array_equal(lows_np, lows_loop)
-        np.testing.assert_array_equal(highs_np, highs_loop)
+        np.testing.assert_array_equal(lows_c, lows_loop)
+        np.testing.assert_array_equal(highs_c, highs_loop)
 
     @given(
         data=st.lists(finite, min_size=2, max_size=48).filter(lambda v: len(v) % 2 == 0),
@@ -108,10 +115,10 @@ class TestSplitParity:
         half = len(data) // 2
         mine = np.sort(np.asarray(data[:half], dtype=float))
         received = np.sort(np.asarray(data[half:], dtype=float))
-        w_np, l_np = NUMPY.cx_winners_losers(mine, received, want_min)
+        w_c, l_c = COMPILED.cx_winners_losers(mine, received, want_min)
         w_loop, l_loop = LOOP.cx_winners_losers(mine, received, want_min)
-        np.testing.assert_array_equal(w_np, w_loop)
-        np.testing.assert_array_equal(l_np, l_loop)
+        np.testing.assert_array_equal(w_c, w_loop)
+        np.testing.assert_array_equal(l_c, l_loop)
 
     @given(
         a=st.lists(finite, min_size=0, max_size=24),
@@ -121,7 +128,7 @@ class TestSplitParity:
         run_a = np.sort(np.asarray(a, dtype=float))
         run_b = np.sort(np.asarray(b, dtype=float))
         np.testing.assert_array_equal(
-            NUMPY.merge_runs(run_a, run_b), LOOP.merge_runs(run_a, run_b)
+            COMPILED.merge_runs(run_a, run_b), LOOP.merge_runs(run_a, run_b)
         )
 
 
@@ -142,9 +149,9 @@ class TestEndToEndParity:
             name: fault_tolerant_sort(
                 key_arr, n, faults, exact_counts=exact, kernels=name
             )
-            for name in ("numpy", "loop")
+            for name in ("compiled", "loop")
         }
-        a, b = results["numpy"], results["loop"]
+        a, b = results["compiled"], results["loop"]
         np.testing.assert_array_equal(a.sorted_keys, b.sorted_keys)
         np.testing.assert_array_equal(a.sorted_keys, np.sort(key_arr))
         assert a.elapsed == b.elapsed

@@ -6,9 +6,9 @@ matrix numpy operations — but its contract is the same as every other
 backend's: *execution strategy only*.  Sorted outputs are byte-identical,
 the simulated clock is bit-identical, and every per-phase counter (the
 comparison/traffic accounting the paper's cost model is built on) matches
-the per-processor ``loop`` interpreter exactly.  Hypothesis drives all
-three backends over dimensions, key counts (including block skew from
-padding), fault plans (fault-free, single-fault, and multi-fault plans with
+the per-processor ``loop`` interpreter exactly.  Hypothesis drives three
+routes (``KERNEL_ROUTES`` in ``tests/conftest.py``) over dimensions, key
+counts (including block skew from padding), fault plans (fault-free, single-fault, and multi-fault plans with
 mirror substages), and exact/worst-case local counting; further tests pin
 obs counter parity, plan-cache warm replay, the honest-accounting
 identity tying actual traffic to the schedule's closed-form worst case,
@@ -37,8 +37,8 @@ from repro.obs.spans import Tracer
 from repro.plancache.cache import PLAN_CACHE
 from repro.simulator.params import MachineParams
 from repro.simulator.phases import PhaseMachine
+from tests.conftest import KERNEL_ROUTES
 
-BACKENDS = ("loop", "numpy", "compiled")
 PAPER_FAULTS = [3, 5, 16, 24]
 
 
@@ -65,9 +65,9 @@ def _assert_identical(a, b):
 
 def _run_all(keys, n, faults, exact=False, params=None):
     return {
-        name: fault_tolerant_sort(keys, n, faults, exact_counts=exact,
-                                  params=params, kernels=name)
-        for name in BACKENDS
+        route: fault_tolerant_sort(keys, n, faults, exact_counts=exact,
+                                   params=params, **kw)
+        for route, kw in KERNEL_ROUTES.items()
     }
 
 
@@ -89,7 +89,7 @@ class TestCompiledParity:
             results["compiled"].sorted_keys, np.sort(key_arr)
         )
         _assert_identical(results["loop"], results["compiled"])
-        _assert_identical(results["numpy"], results["compiled"])
+        _assert_identical(results["interpreted"], results["compiled"])
 
     @pytest.mark.parametrize("keys_count", [1, 13, 24, 25, 47, 96])
     def test_block_skew_from_padding(self, keys_count):
@@ -139,7 +139,7 @@ class TestCompiledParity:
             results["compiled"].sorted_keys, np.sort(key_arr)
         )
         _assert_identical(results["loop"], results["compiled"])
-        _assert_identical(results["numpy"], results["compiled"])
+        _assert_identical(results["interpreted"], results["compiled"])
 
     @pytest.mark.parametrize("params", [MachineParams.ncube2(), MachineParams.unit()])
     @pytest.mark.parametrize("n,faults", [(4, [3, 9, 14]), (5, [1, 2])])

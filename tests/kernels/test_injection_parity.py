@@ -1,7 +1,8 @@
 """Comparison-fault injection preserves the cross-backend parity contract.
 
-The repo's core guarantee is that ``loop``, ``numpy``, and ``compiled``
-kernels — and the phase and SPMD engines — produce byte-identical sorted
+The repo's core guarantee is that the ``loop`` spec, the ``compiled``
+kernels on the per-pair interpreter, and the ``compiled`` schedule
+executor — and the phase and SPMD engines — produce byte-identical sorted
 output.  Injected comparator lies must not break that: the flip decision
 is a pure symmetric hash of the two operand *values*, so every backend
 lies about exactly the same duels and the (mis-sorted) outputs stay
@@ -20,8 +21,7 @@ from repro.core.spmd_sort import spmd_fault_tolerant_sort
 from repro.faults.injectors import ComparisonInjector, comparison_faults
 from repro.faults.model import FaultKind, FaultSet
 from repro.faults.oracles import multiset_delta
-
-KERNELS = ("loop", "numpy", "compiled")
+from tests.conftest import KERNEL_ROUTES
 
 
 def _keys(seed: int, m: int = 96) -> np.ndarray:
@@ -40,18 +40,18 @@ class TestInjectionByteIdentity:
         faults = FaultSet(4, fault_procs, kind=FaultKind.PARTIAL)
         outputs = {}
         stats = {}
-        for kern in KERNELS:
+        for route, kw in KERNEL_ROUTES.items():
             inj = ComparisonInjector(p, seed=42)
             with comparison_faults(inj):
-                res = fault_tolerant_sort(keys, 4, faults, kernels=kern)
-            outputs[kern] = res.sorted_keys
-            stats[kern] = (inj.fired, inj.fired_probe, inj.evaluated)
+                res = fault_tolerant_sort(keys, 4, faults, **kw)
+            outputs[route] = res.sorted_keys
+            stats[route] = (inj.fired, inj.fired_probe, inj.evaluated)
         base = outputs["loop"]
-        for kern in KERNELS[1:]:
-            assert np.array_equal(base, outputs[kern]), (
-                f"{kern} diverged from loop at p={p}")
-            assert stats[kern] == stats["loop"], (
-                f"{kern} fired different lies than loop at p={p}")
+        for route in ("interpreted", "compiled"):
+            assert np.array_equal(base, outputs[route]), (
+                f"{route} diverged from loop at p={p}")
+            assert stats[route] == stats["loop"], (
+                f"{route} fired different lies than loop at p={p}")
         # Lies reroute keys; they never create or destroy them.
         assert multiset_delta(base, np.sort(keys)) == 0
 
@@ -60,10 +60,10 @@ class TestInjectionByteIdentity:
         faults = FaultSet(4, fault_procs, kind=FaultKind.PARTIAL)
         inj_phase = ComparisonInjector(p, seed=42)
         with comparison_faults(inj_phase):
-            phase = fault_tolerant_sort(keys, 4, faults, kernels="numpy")
+            phase = fault_tolerant_sort(keys, 4, faults, kernels="compiled")
         inj_spmd = ComparisonInjector(p, seed=42)
         with comparison_faults(inj_spmd):
-            spmd = spmd_fault_tolerant_sort(keys, 4, faults, kernels="numpy")
+            spmd = spmd_fault_tolerant_sort(keys, 4, faults, kernels="compiled")
         assert np.array_equal(phase.sorted_keys, spmd.sorted_keys)
         # Same logical duels, same lies (the SPMD low side records for
         # the pair, mirroring the phase engine's one-decision-per-pair).
@@ -76,7 +76,7 @@ class TestInjectionScoping:
         # The injector is context-scoped: outside `with comparison_faults`
         # the kernels take their exact fault-free paths.
         keys = _keys(3)
-        res = fault_tolerant_sort(keys, 4, [], kernels="numpy")
+        res = fault_tolerant_sort(keys, 4, [], kernels="compiled")
         assert np.array_equal(res.sorted_keys, np.sort(keys))
 
     def test_p_zero_injection_is_exact(self):

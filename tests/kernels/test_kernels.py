@@ -23,7 +23,6 @@ from repro.kernels import (
     default_backend_name,
     get_backend,
     resolve_backend,
-    set_default_backend,
 )
 from repro.parallel import effective_cpu_count, resolve_jobs, run_tasks
 from repro.simulator.phases import PhaseMachine
@@ -33,11 +32,11 @@ from repro.sorting.heapsort import heapsort
 
 class TestBackendRegistry:
     def test_available_backends(self):
-        assert available_backends() == ("compiled", "loop", "numpy")
+        assert available_backends() == ("compiled", "loop")
 
     def test_get_backend_returns_instances(self):
-        assert get_backend("numpy").batched
-        assert not get_backend("loop").batched
+        assert get_backend("compiled").schedule_compiled
+        assert not get_backend("loop").schedule_compiled
         for name in available_backends():
             assert isinstance(get_backend(name), KernelBackend)
             assert get_backend(name).name == name
@@ -53,23 +52,18 @@ class TestBackendRegistry:
         assert resolve_backend(None).name == default_backend_name()
 
     def test_env_var_selects_default(self, monkeypatch):
+        monkeypatch.delenv("REPRO_KERNELS", raising=False)
+        assert default_backend_name() == "compiled"
         monkeypatch.setenv("REPRO_KERNELS", "loop")
-        set_default_backend(None)
         assert default_backend_name() == "loop"
         assert resolve_backend(None) is get_backend("loop")
         monkeypatch.setenv("REPRO_KERNELS", "not-a-backend")
-        assert default_backend_name() == "numpy"
-
-    def test_set_default_backend_round_trip(self):
-        try:
-            set_default_backend("loop")
-            assert default_backend_name() == "loop"
-            with pytest.raises(ValueError, match="unknown kernel backend"):
-                set_default_backend("cuda")
-            assert default_backend_name() == "loop"
-        finally:
-            set_default_backend(None)
-        assert default_backend_name() == "numpy"
+        assert default_backend_name() == "compiled"
+        # The retired tier's name is just another unknown name: an old
+        # shell keeps working, on the default backend.
+        monkeypatch.setenv("REPRO_KERNELS", "numpy")
+        assert default_backend_name() == "compiled"
+        assert resolve_backend(None) is get_backend("compiled")
 
 
 class TestHeapsortCopySemantics:
@@ -108,19 +102,19 @@ def _exchange_machine(n: int, width: int, seed: int) -> PhaseMachine:
 
 
 class TestRunExchangeJobsParity:
-    """Batched (numpy) and per-pair (loop) exchange phases are identical."""
+    """The compiled and loop kernels run identical exchange phases."""
 
     @pytest.mark.parametrize("probe", [True, False])
     def test_backends_agree_on_full_substage(self, probe):
         jobs = [(low, high, keep_min, None)
                 for low, high, keep_min in substage_pairs(3, 2, 2)]
         machines = {}
-        for name in ("numpy", "loop"):
+        for name in ("compiled", "loop"):
             m = _exchange_machine(3, 16, seed=42)
             with m.phase("cx"):
                 run_exchange_jobs(m, jobs, kernels=name, probe=probe)
             machines[name] = m
-        a, b = machines["numpy"], machines["loop"]
+        a, b = machines["compiled"], machines["loop"]
         assert a.elapsed == b.elapsed
         assert a.total_comparisons() == b.total_comparisons()
         assert a.total_elements_sent() == b.total_elements_sent()
@@ -186,9 +180,9 @@ class TestSpmdBackendParity:
         keys = rng.integers(0, 10**6, size=70).astype(float)
         results = {
             name: spmd_fault_tolerant_sort(keys, n, [5], kernels=name)
-            for name in ("numpy", "loop")
+            for name in ("compiled", "loop")
         }
-        a, b = results["numpy"], results["loop"]
+        a, b = results["compiled"], results["loop"]
         np.testing.assert_array_equal(a.sorted_keys, b.sorted_keys)
         np.testing.assert_array_equal(a.sorted_keys, np.sort(keys))
         assert a.finish_time == b.finish_time

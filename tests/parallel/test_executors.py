@@ -147,7 +147,7 @@ def _campaign_lines(tmp_path, tag, **kw) -> tuple[str, dict]:
 class TestCampaignParity:
     """Serial loop vs process pool: byte-identical campaigns."""
 
-    @pytest.mark.parametrize("backend", ("numpy", "loop", "compiled"))
+    @pytest.mark.parametrize("backend", ("loop", "compiled"))
     @given(
         count=st.integers(min_value=4, max_value=8),
         seed=st.integers(min_value=0, max_value=2**16),

@@ -93,7 +93,7 @@ class TestReplayFidelity:
         # enforces the paper's model (r <= n-1, nobody fully surrounded).
         assume(FaultSet(n, procs).satisfies_paper_model())
         keys = np.random.default_rng(hash(case) & 0xFFFF).random(3 << n)
-        for kernels in ("numpy", "loop"):
+        for kernels in ("compiled", "loop"):
             PLAN_CACHE.configure(enabled=False)
             PLAN_CACHE.clear(reset_counters=True)
             cold = fault_tolerant_sort(keys, n, list(procs), kernels=kernels)

@@ -40,6 +40,8 @@ class TestJobSpecValidation:
         {"kind": "sort", "seed": -1},
         {"kind": "sort", "backend": "quantum"},
         {"kind": "sort", "kernels": "cuda"},
+        # The retired kernel tier's name.
+        {"kind": "sort", "kernels": "numpy"},
         {"kind": "sort", "faults": 3},
         {"kind": "sort", "faults": ["3"]},
         {"kind": "sort", "faults": [99], "n": 5},

@@ -195,3 +195,9 @@ class TestErrors:
     def test_unknown_extra_args(self):
         with pytest.raises(SystemExit):
             main(["sort", "--n", "3", "--bogus"])
+
+    def test_retired_kernel_name(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["sort", "--n", "3", "--kernels", "numpy"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'numpy'" in capsys.readouterr().err
