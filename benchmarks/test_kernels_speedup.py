@@ -1,6 +1,6 @@
 """Kernel-backend speedup benchmark — writes ``BENCH_kernels.json``.
 
-Three headline measurements from the PERFORMANCE.md contract:
+The headline measurements from the PERFORMANCE.md contract:
 
 * end-to-end :func:`fault_tolerant_sort` at ``n = 4``, ``M = 16000``,
   ``r = 3`` with the ``compiled`` backend versus the ``loop`` reference
@@ -10,6 +10,9 @@ Three headline measurements from the PERFORMANCE.md contract:
 * the compiled tier with each substage's compare-splits split across the
   usable cores versus the same call held to one core (``n = 10``,
   ``M = 10^6``, faults ``{3, 9}``);
+* building a fresh plan's compiled program straight from the plan versus
+  building and lowering its per-pair schedule objects (``n = 10``,
+  ``r = 5`` and ``n = 14``; ``n = 8`` with ``--fast``);
 * the memoized partition DFS versus its reference implementation at the
   hardest configuration the suite exercises (``n = 10``, ``r = 9``);
 * a chaos campaign run serially versus fanned out over worker processes.
@@ -32,9 +35,12 @@ import pytest
 
 import repro.parallel as parallel
 from repro.chaos.campaign import run_campaign
-from repro.core.ftsort import fault_tolerant_sort
+from repro.core.ftsort import fault_tolerant_sort, plan_partition
 from repro.core.partition import _find_min_cuts_reference, find_min_cuts
+from repro.core.schedule import build_ft_program, build_ft_schedule, lower_schedule
+from repro.faults.model import FaultKind, FaultSet
 from repro.parallel import effective_cpu_count
+from repro.simulator.phases import PhaseMachine
 
 SEED = 1992
 N = 4
@@ -224,6 +230,74 @@ class TestCompiledSplitSpeedup:
             "effective_cpu_count": cpus, "fast_mode": fast_mode,
         })
         assert parity, "splitting substages across cores changed the result"
+
+
+def _same_program(a, b) -> bool:
+    """Whether two compiled programs are equal, array for array."""
+    def fields(sub):
+        return (sub.label, sub.kind, sub.uniform_hops,
+                *((arr.dtype.str, arr.tobytes()) for arr in (sub.a_rows, sub.b_rows, sub.hops)))
+
+    return (a.output_order == b.output_order
+            and [fields(x) for x in a.substages] == [fields(y) for y in b.substages])
+
+
+class TestColdProgramBuild:
+    """Building a plan's compiled program: object route versus direct.
+
+    The object route is what the compiled tier did before it built
+    programs from the plan: a :class:`~repro.core.schedule.SortSchedule`
+    of one frozen pair per comparator, lowered by
+    :func:`~repro.core.schedule.lower_schedule`.  The direct route is
+    :func:`~repro.core.schedule.build_ft_program`.  Both get the hop
+    metric the compiled tier passes (``None`` for partial faults, where
+    no route detours).  Builds only, no sort; best-of per route.  The
+    headline keys are the first size (``n = 8`` in fast mode, ``n = 10``
+    with ``r = 5`` at full size); ``sizes`` holds every size and
+    ``parity`` says the two routes' arrays were equal at all of them.
+    """
+
+    def test_object_route_vs_direct(self, fast_mode, bench_json):
+        pick = np.random.default_rng(SEED)
+        sizes = ([(8, sorted(pick.choice(1 << 8, 5, replace=False).tolist()), 5, 5)]
+                 if fast_mode else
+                 [(10, sorted(pick.choice(1 << 10, 5, replace=False).tolist()), 3, 5),
+                  (14, [3, 9, 4100], 2, 3)])
+        rows = []
+        for n, faults, object_reps, direct_reps in sizes:
+            fault_set = FaultSet(n, faults, kind=FaultKind.PARTIAL)
+            _, sel = plan_partition(n, fault_set)
+            machine = PhaseMachine(n, faults=fault_set)
+
+            def by_objects():
+                return lower_schedule(build_ft_schedule(sel), machine.hops)
+
+            def direct():
+                return build_ft_program(sel, machine.hops if fault_set.may_detour else None)
+
+            parity = _same_program(by_objects(), direct())
+            t_object = _best_of(by_objects, object_reps)
+            t_direct = _best_of(direct, direct_reps)
+            rows.append({
+                "n": n, "faults": faults, "m": sel.m, "s": sel.s,
+                "object_seconds": t_object, "direct_seconds": t_direct,
+                "speedup": t_object / t_direct, "parity": bool(parity),
+            })
+            print(f"\ncold program n={n} r={len(faults)}: objects "
+                  f"{t_object * 1e3:.1f}ms vs direct {t_direct * 1e3:.2f}ms "
+                  f"({t_object / t_direct:.1f}x)")
+        head = rows[0]
+        bench_json("kernels", "cold_program", {
+            "n": head["n"], "faults": head["faults"],
+            "object_seconds": head["object_seconds"],
+            "direct_seconds": head["direct_seconds"],
+            "speedup": head["speedup"],
+            "parity": all(row["parity"] for row in rows),
+            "sizes": rows, "fast_mode": fast_mode,
+        })
+        assert all(row["parity"] for row in rows), "direct build diverged from the object route"
+        assert head["direct_seconds"] <= head["object_seconds"], (
+            "direct program build slower than the object route")
 
 
 class TestPartitionMemoSpeedup:

@@ -35,6 +35,7 @@ Transfers are charged through the machine's fault-aware hop metric, so
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -276,12 +277,11 @@ def _compiled_ft_sort(
     selection: SelectionResult,
 ) -> FtSortResult:
     """The r >= 2 partition sort through the compiled flat-array tier."""
+    from repro.core.schedule import build_ft_program
     from repro.kernels.compiled import run_schedule_compiled
-    from repro.plancache.cache import cached_ft_schedule
 
-    schedule = cached_ft_schedule(selection)
-    sorted_keys, machine, block_size = run_schedule_compiled(
-        schedule,
+    sorted_keys, machine, block_size, program = run_schedule_compiled(
+        partial(build_ft_program, selection),
         keys,
         fault_set,
         params=params,
@@ -295,13 +295,13 @@ def _compiled_ft_sort(
         _emit_compiled_ft_steps(
             obs, machine, selection, partition,
             keys_count=int(np.asarray(keys).size),
-            workers=schedule.workers,
+            workers=program.workers,
             block_size=block_size,
         )
     return FtSortResult(
         sorted_keys=sorted_keys,
         elapsed=machine.elapsed,
-        output_order=schedule.output_order,
+        output_order=program.output_order,
         machine=machine,
         partition=partition,
         selection=selection,
@@ -336,7 +336,8 @@ def fault_tolerant_sort(
         exact_counts: exact heapsort comparison counting for local sorts.
         observer: optional ``f(machine, phase_record)`` callback fired after
             every phase — used by the Figure-6 walkthrough example to print
-            intermediate block states; ignored on the ``r <= 1`` paths.
+            intermediate block states.  A sort with an observer runs on
+            the per-pair interpreter, whatever ``kernels`` is.
         obs: optional :class:`repro.obs.Tracer`.  When enabled, the sort
             records one simulated-time span per algorithm step (``step1``
             .. ``step8``, plus a root ``ftsort`` span) on the algorithm
@@ -404,21 +405,23 @@ def fault_tolerant_sort(
 
     if r == 0:
         return _wrap_simple(
-            fault_free_bitonic_sort(keys, n, params, exact_counts, obs=obs, kernels=kernels),
+            fault_free_bitonic_sort(keys, n, params, exact_counts, obs=obs,
+                                    kernels=kernels, observer=observer),
             None,
         )
     if r == 1:
         partition = find_min_cuts(n, fault_set)
         res = single_fault_bitonic_sort(
-            keys, n, fault_set.processors[0], params, exact_counts, obs=obs, kernels=kernels
+            keys, n, fault_set.processors[0], params, exact_counts, obs=obs,
+            kernels=kernels, observer=observer,
         )
         return _wrap_simple(res, partition)
 
     partition, selection = plan_partition(n, fault_set, cut_dims=cut_dims)
     if kernels.schedule_compiled and step8 == "two-merge" and observer is None:
-        # Compiled flat-array tier: execute the cached schedule's lowered
-        # program instead of interpreting per-pair.  The full-sort ablation
-        # and per-phase observers are not modeled by the schedule builder /
+        # Compiled flat-array tier: execute the plan's cached program
+        # instead of interpreting per-pair.  The full-sort ablation and
+        # per-phase observers are not modeled by the program builder /
         # executor; those fall through to the interpreter (which still uses
         # this backend's vectorized kernels).
         return _compiled_ft_sort(

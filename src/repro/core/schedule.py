@@ -30,6 +30,16 @@ Lowering:
 — per-substage index arrays over a single ``(workers, block)`` key matrix —
 which :func:`repro.kernels.compiled.run_schedule_compiled` executes as a
 handful of numpy operations per substage (the ``--kernels compiled`` tier).
+
+Direct builders:
+
+:func:`build_ft_program` and :func:`build_plain_program` return the same
+:class:`CompiledSchedule` as ``lower_schedule(build_*_schedule(...))``
+without building a :class:`SortSchedule`: the sort is oblivious, so every
+substage's row pairs follow from the plan by index arithmetic and take a
+few whole-array numpy operations.  The compiled tier builds its programs
+this way; the object schedule stays the reference they are tested
+against, and what the SPMD engine and the host session execute.
 """
 
 from __future__ import annotations
@@ -39,7 +49,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.selection import SelectionResult
-from repro.cube.address import bit_of, hamming_distance, validate_address, validate_dimension
+from repro.cube.address import (
+    bit_of,
+    hamming_distance,
+    popcount_array,
+    validate_address,
+    validate_dimension,
+)
 from repro.sorting.bitonic_cube import substage_pairs
 
 __all__ = [
@@ -48,7 +64,9 @@ __all__ = [
     "CxPair",
     "SortSchedule",
     "Substage",
+    "build_ft_program",
     "build_ft_schedule",
+    "build_plain_program",
     "build_plain_schedule",
     "lower_schedule",
 ]
@@ -330,8 +348,8 @@ class CompiledSubstage:
 
     For ``kind == "cx"``, row ``a_rows[t]`` keeps the smaller half of its
     union with row ``b_rows[t]`` — the low/high vs min/max orientation of
-    the source :class:`CxPair` is already resolved, so the executor needs no
-    keep_min branching.  For ``kind == "mirror"``, the two rows swap whole
+    the comparator is already resolved, so the executor needs no keep_min
+    branching.  For ``kind == "mirror"``, the two rows swap whole
     blocks.  ``hops[t]`` is the routing distance the pair's transfers are
     charged over; ``uniform_hops`` is that distance when every pair shares
     it, else ``None``.  All arrays are read-only (compiled programs are
@@ -348,7 +366,8 @@ class CompiledSubstage:
 
 @dataclass(frozen=True)
 class CompiledSchedule:
-    """A :class:`SortSchedule` lowered to a flat array program.
+    """A sort as a flat array program: a lowered :class:`SortSchedule`, or
+    the same program built straight from the plan.
 
     Execution state is one ``(workers, block)`` float matrix whose row
     ``t`` is the block of processor ``output_order[t]``; every substage is
@@ -377,10 +396,10 @@ def lower_schedule(schedule: SortSchedule, hops_of=None) -> CompiledSchedule:
             Defaults to the Hamming distance — exact whenever no detours
             are needed (partial faults, no link faults).
 
-    The result depends only on ``(schedule, hop metric)``, making it a
-    cacheable artifact: :func:`repro.plancache.cache.cached_compiled_program`
-    keys it like the schedule plus the fault set only when the metric is
-    fault-dependent.
+    The result depends only on ``(schedule, hop metric)``.  The compiled
+    tier builds the same program straight from the plan
+    (:func:`build_ft_program`, :func:`build_plain_program`); this pass is
+    the reference those builders are tested against.
     """
     if hops_of is None:
         hops_of = hamming_distance
@@ -419,3 +438,176 @@ def lower_schedule(schedule: SortSchedule, hops_of=None) -> CompiledSchedule:
     return CompiledSchedule(
         n=schedule.n, output_order=schedule.output_order, substages=tuple(lowered)
     )
+
+
+# -- building the program from the plan ---------------------------------------
+
+
+def _place_bits(x: np.ndarray, dims) -> np.ndarray:
+    """Bit ``k`` of every element of ``x`` moved to bit ``dims[k]``."""
+    out = np.zeros(x.shape, dtype=np.int64)
+    for k, d in enumerate(dims):
+        out |= ((x >> k) & 1) << d
+    return out
+
+
+def _bitonic_rows(
+    q: int, i: int, j: int, descending: np.ndarray, dead0: bool
+) -> tuple[np.ndarray, np.ndarray]:
+    """Min-keeper and max-keeper rows of bitonic substage ``(i, j)`` on
+    ``2**q`` logical positions, for every group at once.
+
+    Group ``g`` holds position ``l`` in row ``g * (2**q - dead0) + l -
+    dead0``; with ``dead0`` position 0 is the dead processor, which has no
+    row and whose comparators are dropped.  ``descending[g]`` inverts group
+    ``g``'s network.  Pairs come group-major, then in ascending low
+    position, as :func:`~repro.sorting.bitonic_cube.substage_pairs` lists
+    them.
+    """
+    low = np.arange(1 << q, dtype=np.intp)
+    low = low[(low >> j) & 1 == 0][int(dead0):]
+    high = low | (1 << j)
+    keep = (((low >> (i + 1)) & 1) == 0) != descending[:, None]
+    base = np.arange(descending.size, dtype=np.intp)[:, None] * ((1 << q) - dead0) - dead0
+    low_rows, high_rows = base + low, base + high
+    return (np.where(keep, low_rows, high_rows).ravel(),
+            np.where(keep, high_rows, low_rows).ravel())
+
+
+def _neighbor_substage(label: str, a: np.ndarray, b: np.ndarray) -> CompiledSubstage:
+    """A cx substage whose pairs are all physical neighbors (1 hop)."""
+    return CompiledSubstage(
+        label=label,
+        kind="cx",
+        a_rows=_frozen(a),
+        b_rows=_frozen(b),
+        hops=_frozen(np.ones(a.size, dtype=np.int64)),
+        uniform_hops=1,
+    )
+
+
+def _routed_substage(
+    label: str,
+    kind: str,
+    a: np.ndarray,
+    b: np.ndarray,
+    low: np.ndarray,
+    high: np.ndarray,
+    hops_of,
+) -> CompiledSubstage:
+    """A substage charged over each pair's own route from ``low[t]`` to
+    ``high[t]``: ``hops_of`` per pair, or the Hamming distance when it is
+    ``None`` (no route detours)."""
+    if hops_of is None:
+        hops = popcount_array(low ^ high)
+    else:
+        hops = np.fromiter(map(hops_of, low.tolist(), high.tolist()),
+                           dtype=np.int64, count=low.size)
+    uniform = int(hops[0]) if hops.size and (hops == hops[0]).all() else None
+    return CompiledSubstage(
+        label=label,
+        kind=kind,
+        a_rows=_frozen(a),
+        b_rows=_frozen(b),
+        hops=_frozen(hops),
+        uniform_hops=uniform,
+    )
+
+
+def build_plain_program(n: int, faulty: int | None = None) -> CompiledSchedule:
+    """``lower_schedule(build_plain_schedule(n, faulty))``, built directly.
+
+    Logical position ``l`` sits on processor ``l XOR faulty`` and in row
+    ``l`` (``l - 1`` with a fault, whose logical 0 holds no row).
+    """
+    validate_dimension(n)
+    dead0 = faulty is not None
+    if dead0:
+        validate_address(faulty, n)
+        if n == 0:
+            raise ValueError("Q_0 with a fault has no working processor")
+    descending = np.zeros(1, dtype=bool)
+    substages = []
+    for i in range(n):
+        for j in range(i, -1, -1):
+            a, b = _bitonic_rows(n, i, j, descending, dead0)
+            substages.append(_neighbor_substage(f"bitonic[i={i},j={j}]", a, b))
+    mask = faulty or 0
+    output_order = tuple(l ^ mask for l in range(int(dead0), 1 << n))
+    return CompiledSchedule(n=n, output_order=output_order, substages=tuple(substages))
+
+
+def build_ft_program(selection: SelectionResult, hops_of=None) -> CompiledSchedule:
+    """``lower_schedule(build_ft_schedule(selection), hops_of)``, built
+    directly from the plan.
+
+    Subcube ``v``'s reindexed processor ``rho`` (``1 <= rho < P``) is row
+    ``v * (P - 1) + rho - 1`` — the order of ``output_order`` — and
+    physical processor ``combine(v, rho XOR dead_w[v])``, read from one
+    ``(2**m, P)`` table.  Addresses matter only for ``output_order`` and
+    for the hop counts of inter-subcube and mirror substages.
+    ``hops_of`` is the routing metric of :func:`lower_schedule`; ``None``
+    means the Hamming distance, computed for whole substages at once.
+    """
+    m, s = selection.m, selection.s
+    if s < 1:
+        raise ValueError("fault-tolerant schedule needs subcubes of dimension >= 1")
+    n = selection.n
+    p = 1 << s
+    split = selection.split
+    vs = np.arange(1 << m, dtype=np.int64)
+    rhos = np.arange(p, dtype=np.int64)
+    dead_w = np.array([split.w_of(d) for d in selection.dead_of_subcube], dtype=np.int64)
+    phys = (_place_bits(vs, split.cut_dims)[:, None]
+            | _place_bits(rhos, split.rest_dims)[rhos[None, :] ^ dead_w[:, None]])
+    # Column 0 (the dead processor) gets row -1 and is never selected.
+    rows = (vs[:, None] * (p - 1) + rhos[None, :] - 1).astype(np.intp)
+    no_bit = np.zeros(vs.size, dtype=np.int64)
+    substages = []
+
+    # Step 3: per-subcube sorts, ascending iff the subcube address is even.
+    ascending = (vs & 1) == 0
+    for i in range(s):
+        for j in range(i, -1, -1):
+            a, b = _bitonic_rows(s, i, j, ~ascending, dead0=True)
+            substages.append(_neighbor_substage(f"intra-init[i={i},j={j}]", a, b))
+
+    # Steps 4-8.
+    half = np.arange(1, p // 2)
+    for i in range(m):
+        mask = (vs >> (i + 1)) & 1 if i + 1 < m else no_bit
+        for j in range(i, -1, -1):
+            # Step 7: the subcube whose v_j equals mask keeps the minima.
+            bit_j = (vs >> j) & 1
+            kept_min = bit_j == mask
+            v_low = vs[bit_j == 0]
+            v_high = v_low | (1 << j)
+            keep = kept_min[v_low][:, None]
+            low_rows, high_rows = rows[v_low, 1:], rows[v_high, 1:]
+            substages.append(_routed_substage(
+                f"inter[i={i},j={j}]", "cx",
+                np.where(keep, low_rows, high_rows).ravel(),
+                np.where(keep, high_rows, low_rows).ravel(),
+                phys[v_low, 1:].ravel(), phys[v_high, 1:].ravel(), hops_of,
+            ))
+            # Step 8: one merge pass in the side direction, then a mirror
+            # of every subcube whose target direction differs from it.
+            prev_bit = (vs >> (j - 1)) & 1 if j >= 1 else no_bit
+            ascending = prev_bit == mask
+            for jj in range(s - 1, -1, -1):
+                a, b = _bitonic_rows(s, s - 1, jj, ~kept_min, dead0=True)
+                substages.append(
+                    _neighbor_substage(f"intra[i={i},j={j}]a[j={jj}]", a, b))
+            flips = vs[kept_min != ascending]
+            if flips.size:
+                substages.append(_routed_substage(
+                    f"intra[i={i},j={j}]b", "mirror",
+                    rows[flips[:, None], half].ravel(),
+                    rows[flips[:, None], p - half].ravel(),
+                    phys[flips[:, None], half].ravel(),
+                    phys[flips[:, None], p - half].ravel(),
+                    hops_of,
+                ))
+
+    output_order = tuple(phys[:, 1:].ravel().tolist())
+    return CompiledSchedule(n=n, output_order=output_order, substages=tuple(substages))

@@ -106,16 +106,15 @@ def _run_cube_sort_compiled(
     """The r <= 1 cube sort through the compiled flat-array tier.
 
     Same result object, phase records, clock, and obs counters as the
-    interpreted path — just executed from the cached plain schedule's
-    lowered program (see :mod:`repro.kernels.compiled`).
+    interpreted path — just executed from the cached plain program (see
+    :mod:`repro.kernels.compiled`).
     """
+    from repro.core.schedule import build_plain_program
     from repro.kernels.compiled import run_schedule_compiled
-    from repro.plancache.cache import cached_plain_schedule
 
     fault_set = FaultSet(n, () if faulty is None else (faulty,))
-    schedule = cached_plain_schedule(n, faulty)
-    sorted_keys, machine, block_size = run_schedule_compiled(
-        schedule,
+    sorted_keys, machine, block_size, program = run_schedule_compiled(
+        lambda hops_of: build_plain_program(n, faulty),
         keys,
         fault_set,
         params=params,
@@ -137,7 +136,7 @@ def _run_cube_sort_compiled(
     return SingleFaultSortResult(
         sorted_keys=sorted_keys,
         elapsed=machine.elapsed,
-        output_order=schedule.output_order,
+        output_order=program.output_order,
         machine=machine,
         block_size=block_size,
     )
@@ -151,15 +150,20 @@ def _run_cube_sort(
     exact_counts: bool,
     obs=None,
     kernels=None,
+    observer=None,
 ) -> SingleFaultSortResult:
     validate_dimension(n)
     obs = obs if obs is not None else NULL_TRACER
     kern = resolve_backend(kernels)
-    if kern.schedule_compiled:
+    if kern.schedule_compiled and observer is None:
+        # The compiled executor does not model per-phase observers; with
+        # one, the sort runs on the interpreter (with this backend's
+        # vectorized kernels), as fault_tolerant_sort does for r >= 2.
         return _run_cube_sort_compiled(keys, n, faulty, params, exact_counts, obs)
     size = 1 << n
     fault_set = FaultSet(n, () if faulty is None else (faulty,))
     machine = PhaseMachine(n, params=params, faults=fault_set, obs=obs)
+    machine.on_phase_end = observer
     mask = 0 if faulty is None else faulty
     # Logical position l lives on physical node l XOR mask; the fault sits
     # at logical 0 and is skipped.
@@ -210,6 +214,7 @@ def single_fault_bitonic_sort(
     exact_counts: bool = False,
     obs=None,
     kernels=None,
+    observer=None,
 ) -> SingleFaultSortResult:
     """Sort ``keys`` on ``Q_n`` with one faulty processor (paper §2.1).
 
@@ -221,6 +226,8 @@ def single_fault_bitonic_sort(
         exact_counts: charge exact heapsort comparison counts for the local
             sorts instead of the paper's worst-case formula.
         kernels: kernel backend (or name); ``None`` = process default.
+        observer: optional ``f(machine, phase_record)`` callback fired
+            after every phase; a sort with one runs on the interpreter.
 
     Returns:
         :class:`SingleFaultSortResult`; ``output_order`` starts at the
@@ -230,7 +237,8 @@ def single_fault_bitonic_sort(
     if n == 0:
         raise ValueError("Q_0 with a fault has no working processor")
     validate_address(faulty, n)
-    return _run_cube_sort(keys, n, faulty, params, exact_counts, obs=obs, kernels=kernels)
+    return _run_cube_sort(keys, n, faulty, params, exact_counts, obs=obs,
+                          kernels=kernels, observer=observer)
 
 
 def fault_free_bitonic_sort(
@@ -240,10 +248,13 @@ def fault_free_bitonic_sort(
     exact_counts: bool = False,
     obs=None,
     kernels=None,
+    observer=None,
 ) -> SingleFaultSortResult:
     """Plain parallel block bitonic sort on a fault-free ``Q_n``.
 
     The thick-line baseline of the paper's Figure 7 (sorting on the
     maximal fault-free subcube) is this routine run on a smaller cube.
+    ``observer`` is as for :func:`single_fault_bitonic_sort`.
     """
-    return _run_cube_sort(keys, n, None, params, exact_counts, obs=obs, kernels=kernels)
+    return _run_cube_sort(keys, n, None, params, exact_counts, obs=obs,
+                          kernels=kernels, observer=observer)

@@ -7,7 +7,7 @@ differ in exactly one bit.
 
 All functions are pure.  Scalar helpers operate on Python ints (arbitrary
 precision, so any ``n`` works); :func:`popcount_array` provides a vectorized
-popcount for the Monte-Carlo experiment sweeps.
+popcount over arrays of addresses.
 """
 
 from __future__ import annotations
@@ -113,16 +113,25 @@ def permute_bits(addr: int, perm: tuple[int, ...] | list[int]) -> int:
     return out
 
 
-def popcount_array(values: np.ndarray) -> np.ndarray:
-    """Vectorized popcount over an integer ndarray.
+_M1, _M2, _M4, _H01 = (np.uint64(m) for m in (
+    0x5555555555555555, 0x3333333333333333, 0x0F0F0F0F0F0F0F0F, 0x0101010101010101))
 
-    Used by the Monte-Carlo sweeps (Tables 1-2) which evaluate Hamming
-    distances over tens of thousands of random fault placements.
+
+def popcount_array(values: np.ndarray) -> np.ndarray:
+    """Vectorized popcount over an integer ndarray (as 64-bit words).
+
+    Shifts and masks (the SWAR bit count), because ``np.bitwise_count``
+    needs numpy 2.  The compiled tier's program builder uses it for the
+    Hamming distances of whole substages.
     """
     arr = np.asarray(values)
     if not np.issubdtype(arr.dtype, np.integer):
         raise TypeError(f"popcount_array needs an integer array, got {arr.dtype}")
-    return np.bitwise_count(arr.astype(np.uint64, copy=False)).astype(np.int64)
+    x = arr.astype(np.uint64)
+    x = x - ((x >> np.uint64(1)) & _M1)
+    x = (x & _M2) + ((x >> np.uint64(2)) & _M2)
+    x = (x + (x >> np.uint64(4))) & _M4
+    return ((x * _H01) >> np.uint64(56)).astype(np.int64)
 
 
 def to_bits(addr: int, n: int) -> tuple[int, ...]:

@@ -126,6 +126,16 @@ class FaultSet:
         """Number of faulty processors (the paper's ``r``)."""
         return len(self._processors)
 
+    @property
+    def may_detour(self) -> bool:
+        """Whether a route may have to leave a shortest e-cube path.
+
+        True with any link fault, or with processor faults under the total
+        model (a totally faulty node forwards nothing).  Otherwise every
+        route is e-cube and spans the Hamming distance.
+        """
+        return bool(self._links) or (self.r > 0 and self.kind is FaultKind.TOTAL)
+
     def is_faulty(self, addr: int) -> bool:
         """Whether processor ``addr`` is faulty (crash or byzantine)."""
         return addr in self._proc_set

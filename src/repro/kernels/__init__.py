@@ -8,11 +8,11 @@ the resilient-sorting literature does (comparison-count *model* vs kernel
 *execution*): every execution engine routes its data movement through one
 of two interchangeable backends:
 
-* ``"compiled"`` (default) — the fast path.  The phase engine's whole
-  oblivious :class:`~repro.core.schedule.SortSchedule` is lowered to
-  per-substage index arrays over one ``(workers, block)`` key matrix and
+* ``"compiled"`` (default) — the fast path.  The phase engine runs the
+  whole oblivious sort as per-substage index arrays over one
+  ``(workers, block)`` key matrix, built straight from the plan and
   executed as a handful of numpy ops per substage, with comparison/traffic
-  accounting computed in closed form.  Paths without a schedule (per-phase
+  accounting computed in closed form.  Paths without a program (per-phase
   observers, the full-sort ablation, the SPMD machine, ``compare_split``)
   run its vectorized kernels: batched 2-D sorts, 2-D exchange-splits, and
   a masked vectorized sift-down that reproduces the reference heapsort's

@@ -27,8 +27,8 @@ class KernelBackend(ABC):
     name: str = "abstract"
 
     #: True when the phase engine should bypass its per-pair interpreter and
-    #: execute the whole lowered :class:`~repro.core.schedule.SortSchedule`
-    #: as a flat array program (see :mod:`repro.kernels.compiled`).
+    #: execute the whole sort as a flat array program built from the plan
+    #: (see :mod:`repro.kernels.compiled`).
     schedule_compiled: bool = False
 
     # -- local sort -------------------------------------------------------

@@ -2,9 +2,11 @@
 execution as a flat array program.
 
 The phase engine's schedule executor is this tier's main route:
-:func:`repro.core.schedule.lower_schedule` turns the static
-:class:`~repro.core.schedule.SortSchedule` into per-substage index
-arrays over one ``(workers, block)`` key matrix, and
+:func:`repro.core.schedule.build_ft_program` and
+:func:`~repro.core.schedule.build_plain_program` turn a plan into
+per-substage index arrays over one ``(workers, block)`` key matrix (the
+program :func:`~repro.core.schedule.lower_schedule` would make of the
+plan's :class:`~repro.core.schedule.SortSchedule`), and
 :func:`run_schedule_compiled` executes each substage as a handful of numpy
 operations — one vectorized probe, a gather of the executed pairs, one
 batched selection, one scatter — with the paper's comparison/traffic
@@ -269,7 +271,7 @@ def _close_phase(machine, rec) -> None:
 
 
 def run_schedule_compiled(
-    schedule,
+    build_program,
     keys,
     faults,
     params=None,
@@ -278,10 +280,15 @@ def run_schedule_compiled(
     cache_kind: str | None = None,
     cache_key: tuple | None = None,
 ):
-    """Execute ``schedule`` on ``keys`` as a flat array program.
+    """Execute a compiled program on ``keys`` as a flat array program.
 
     Args:
-        schedule: a :class:`~repro.core.schedule.SortSchedule`.
+        build_program: ``f(hops_of) -> CompiledSchedule``, a plan bound to
+            :func:`~repro.core.schedule.build_ft_program` or
+            :func:`~repro.core.schedule.build_plain_program`.  It is called
+            on a cache miss only, with the machine's fault-aware hop metric
+            when routes may detour and ``None`` (Hamming distance) when
+            they cannot.
         faults: the run's :class:`~repro.faults.model.FaultSet` (drives the
             hop metric and the machine's fault bookkeeping).
         params: machine cost constants (default NCUBE/7).
@@ -291,41 +298,40 @@ def run_schedule_compiled(
         exact_counts: charge exact heapsort comparison counts for the local
             sort (via the batched vectorized heapsort) instead of the
             paper's closed-form worst case.
-        cache_kind / cache_key: when given, the lowered program is served
-            from the plan cache's ``compiled`` section under
+        cache_kind / cache_key: when given, the program is served from the
+            plan cache's ``compiled`` section under
             ``(cache_kind,) + cache_key`` (plus the fault set whenever the
             hop metric depends on it) — multi-tenant jobs sharing a plan
             also share the compiled program.
 
     Returns:
-        ``(sorted_keys, machine, block_size)``; ``machine`` is a
+        ``(sorted_keys, machine, block_size, program)``; ``machine`` is a
         :class:`~repro.simulator.phases.PhaseMachine` carrying the final
         per-node blocks, the per-phase cost records, and the elapsed clock,
-        exactly as an interpreted run would leave it.
+        exactly as an interpreted run would leave it, and ``program`` is
+        the executed :class:`~repro.core.schedule.CompiledSchedule` (its
+        ``output_order`` places the result).
     """
     # Core/simulator imports are deferred: this module is imported by the
     # ``repro.kernels`` package __init__, which the sorting layer imports —
     # a module-scope import of either would recurse into a half-initialized
     # package.
     from repro.core.blocks import pad_and_chunk, strip_padding
-    from repro.core.schedule import lower_schedule
     from repro.plancache.cache import cached_compiled_program
     from repro.simulator.phases import PhaseMachine, PhaseRecord
 
-    machine = PhaseMachine(schedule.n, params=params, faults=faults, obs=obs)
+    machine = PhaseMachine(faults.n, params=params, faults=faults, obs=obs)
     par = machine.params
     t_compare = par.t_compare
-
-    def lower() -> object:
-        return lower_schedule(schedule, machine.hops)
-
+    hops_of = machine.hops if faults.may_detour else None
     if cache_kind is not None and cache_key is not None:
-        program = cached_compiled_program(cache_kind, cache_key, machine.faults, lower)
+        program = cached_compiled_program(cache_kind, cache_key, faults,
+                                          lambda: build_program(hops_of))
     else:
-        program = lower()
+        program = build_program(hops_of)
 
     keys_arr = np.asarray(keys, dtype=float)
-    key_matrix, block = pad_and_chunk(keys_arr, schedule.workers)
+    key_matrix, block = pad_and_chunk(keys_arr, program.workers)
     k = int(block)
     obs_on = machine.obs.enabled
     met = machine.obs.metrics if obs_on else None
@@ -347,7 +353,7 @@ def run_schedule_compiled(
             from repro.sorting.heapsort import heapsort_comparisons_worst_case
 
             counts = np.full(
-                schedule.workers, heapsort_comparisons_worst_case(k), dtype=np.int64
+                program.workers, heapsort_comparisons_worst_case(k), dtype=np.int64
             )
         rec.comparisons = int(counts.sum())
         rec.duration = float((counts * t_compare).max())
@@ -452,7 +458,7 @@ def run_schedule_compiled(
             pairs = buf[:2 * executed]
             if inj is not None:
                 # ``mode="clip"``: the default ``"raise"`` buffers ``out``;
-                # lowered indices are in range by construction.
+                # program indices are in range by construction.
                 np.take(key_matrix, rows, axis=0, out=pairs, mode="clip")
                 # Flip decisions depend on where keys sit in sorted
                 # blocks, so the lying duel runs on sorted rows exactly as
@@ -519,9 +525,9 @@ def run_schedule_compiled(
             met.inc("sort.messages", messages)
 
     # Every row now holds its final multiset; one sort puts each in order.
-    chunks = min(threads, schedule.workers, key_matrix.size // _MIN_CHUNK_KEYS)
+    chunks = min(threads, program.workers, key_matrix.size // _MIN_CHUNK_KEYS)
     if chunks > 1:
-        _in_chunks(pool, chunks, schedule.workers, _sort_rows, key_matrix)
+        _in_chunks(pool, chunks, program.workers, _sort_rows, key_matrix)
     else:
         key_matrix.sort(axis=1)
 
@@ -530,8 +536,8 @@ def run_schedule_compiled(
     # the run is over, nothing mutates it again, and rows never alias each
     # other.  ``sorted_keys`` gets its own buffer so callers may modify it
     # freely, matching the interpreter's ``np.concatenate`` result.
-    for t, addr in enumerate(schedule.output_order):
+    for t, addr in enumerate(program.output_order):
         machine.blocks[addr] = key_matrix[t]
     gathered = key_matrix.reshape(-1).copy()
     sorted_keys = strip_padding(gathered, int(keys_arr.size))
-    return sorted_keys, machine, k
+    return sorted_keys, machine, k, program

@@ -13,18 +13,19 @@ planning-pipeline consumer:
   canonicalized at most once — and, since canonicalization is lazy, only
   when its orbit signature has been sighted more than once;
 * ``sched`` — built :class:`~repro.core.schedule.SortSchedule` objects
-  (frozen, safely shared) keyed on the resolved plan;
+  (frozen, safely shared) keyed on the resolved plan, for the SPMD engine
+  and the host session (the compiled tier never builds one);
 * ``routes`` — fault-aware BFS distance tables of the phase machine's hop
   metric, keyed ``(n, fault set, source)``.  Scenario supervisors build
   many short-lived machines over the same fault view; sharing the tables
   across machines is where most of the campaign's planning time goes;
 * ``nominal`` — the chaos campaign's nominal run duration per scenario
   statics (the denominator every arrival fraction is scaled by);
-* ``compiled`` — lowered :class:`~repro.core.schedule.CompiledSchedule`
-  programs for the ``--kernels compiled`` tier, keyed like their source
-  schedules plus the fault set only when the hop metric is
-  fault-dependent (detour routing) — multi-tenant jobs sharing an orbit
-  share the compiled program too.
+* ``compiled`` — :class:`~repro.core.schedule.CompiledSchedule`
+  programs for the ``--kernels compiled`` tier, built straight from the
+  plan and keyed like the plan's schedule plus the fault set only when
+  the hop metric is fault-dependent (detour routing) — multi-tenant jobs
+  sharing an orbit share the compiled program too.
 
 Everything cached is either immutable (frozen dataclasses, tuples, floats)
 or treated as read-only by every consumer (the distance dicts).  Replay is
@@ -416,20 +417,17 @@ def cached_plain_schedule(n: int, faulty: int | None):
 
 
 def cached_compiled_program(kind: str, key: tuple, faults, build):
-    """Memoized :func:`repro.core.schedule.lower_schedule` program.
+    """Memoized compiled program (:class:`~repro.core.schedule.CompiledSchedule`).
 
-    ``kind``/``key`` mirror the schedule-section key (``"ft"`` with
+    ``kind``/``key`` name the plan (``"ft"`` with
     ``(n, cut_dims, dead_of_subcube)``, ``"plain"`` with ``(n, faulty)``).
-    The lowered program additionally bakes in per-pair hop counts, which
-    depend on the fault set exactly when routes must detour (link faults,
-    or total-model processor faults); only then does the fault set join the
-    key — partial-fault runs over the same plan share one program.
-    ``build`` computes the lowering on a miss.
+    The program additionally bakes in per-pair hop counts, which depend on
+    the fault set exactly when routes may detour
+    (:attr:`~repro.faults.model.FaultSet.may_detour`); only then does the
+    fault set join the key — partial-fault runs over the same plan share
+    one program.  ``build`` makes the program on a miss.
     """
-    from repro.faults.model import FaultKind
-
-    detours = bool(faults.links) or (faults.r > 0 and faults.kind is FaultKind.TOTAL)
-    full_key = (kind,) + tuple(key) + (faults if detours else None,)
+    full_key = (kind,) + tuple(key) + (faults if faults.may_detour else None,)
     return PLAN_CACHE.memo("compiled", full_key, build)
 
 

@@ -107,9 +107,7 @@ class PhaseMachine:
         self._node_time: dict[int, float] = {}
         self._hop_cache: dict[int, Sequence[int]] = {}
         self._size = 1 << n
-        self._detour_needed = bool(self.faults.links) or (
-            self.faults.r > 0 and self.faults.kind is FaultKind.TOTAL
-        )
+        self._detour_needed = self.faults.may_detour
         #: Optional hook called as ``on_phase_end(machine, record)`` after
         #: every phase closes — used by walkthrough/teaching tools to
         #: snapshot block states without touching the algorithms.

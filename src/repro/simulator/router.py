@@ -51,11 +51,7 @@ class Router:
         self.cube: Hypercube = faults.cube
         self.n = faults.n
         if strategy == "auto":
-            strategy = (
-                "adaptive"
-                if (faults.kind is FaultKind.TOTAL and faults.r > 0) or faults.links
-                else "ecube"
-            )
+            strategy = "adaptive" if faults.may_detour else "ecube"
         self.strategy = strategy
 
     # -- usability predicates ---------------------------------------------

@@ -32,8 +32,8 @@ def _no_op_observer(machine, record) -> None:
 
 #: ``fault_tolerant_sort`` arguments per route of the kernel parity suites:
 #: the ``loop`` spec, the compiled kernels on the per-pair interpreter (the
-#: schedule executor does not model phase observers; sorts with ``r <= 1``
-#: ignore them and run the executor again), and the compiled schedule
+#: schedule executor does not model phase observers, so a sort with one
+#: runs the interpreter at every ``r``), and the compiled schedule
 #: executor.
 KERNEL_ROUTES = {
     "loop": dict(kernels="loop"),

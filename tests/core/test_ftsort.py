@@ -56,6 +56,16 @@ class TestDispatch:
         with pytest.raises(ValueError):
             fault_tolerant_sort([1.0], 3, [1, 2], step8="magic")
 
+    @pytest.mark.parametrize("kernels", ["loop", "compiled"])
+    @pytest.mark.parametrize("faults", [[], [5], [3, 9, 14]], ids=["r0", "r1", "r3"])
+    def test_observer_sees_every_phase(self, rng, kernels, faults):
+        seen = []
+        keys = rng.random(60)
+        res = fault_tolerant_sort(keys, 4, faults, kernels=kernels,
+                                  observer=lambda machine, rec: seen.append(rec))
+        assert_sorted_output(res, keys)
+        assert seen and seen == res.machine.phases
+
 
 class TestNonFiniteKeys:
     """Every sort documents finite keys; a NaN must be refused up front,

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 from repro.core.ftsort import plan_partition
 from repro.core.schedule import (
@@ -10,12 +12,17 @@ from repro.core.schedule import (
     CxPair,
     SortSchedule,
     Substage,
+    build_ft_program,
     build_ft_schedule,
+    build_plain_program,
     build_plain_schedule,
     lower_schedule,
 )
 from repro.cube.address import hamming_distance
 from repro.faults.inject import random_faulty_processors
+from repro.faults.linkplan import absorb_link_faults
+from repro.faults.model import FaultKind, FaultSet
+from repro.simulator.phases import PhaseMachine
 
 PAPER_FAULTS = [3, 5, 16, 24]
 
@@ -212,3 +219,129 @@ class TestLowering:
                     assert int(csub.hops[i]) == hamming_distance(pair.low, pair.high)
                 else:
                     assert int(csub.hops[i]) == sub.uniform_hops
+
+
+def assert_same_program(direct: CompiledSchedule, reference: CompiledSchedule) -> None:
+    """Field for field: labels, kinds, array dtypes and values, uniform
+    hops, output order."""
+    assert direct.n == reference.n
+    assert direct.output_order == reference.output_order
+    assert all(type(a) is int for a in direct.output_order)
+    assert [(s.label, s.kind) for s in direct.substages] == [
+        (s.label, s.kind) for s in reference.substages
+    ]
+    for got, want in zip(direct.substages, reference.substages):
+        for field in ("a_rows", "b_rows", "hops"):
+            g, w = getattr(got, field), getattr(want, field)
+            assert (g.dtype, g.shape) == (w.dtype, w.shape), (got.label, field)
+            np.testing.assert_array_equal(g, w, err_msg=f"{got.label} {field}")
+            assert not g.flags.writeable
+        assert got.uniform_hops == want.uniform_hops, got.label
+        assert type(got.uniform_hops) is type(want.uniform_hops), got.label
+
+
+def _ft_case(fault_set: FaultSet):
+    """``(direct, reference)`` programs for a fault set's plan, with the
+    hop metric a compiled sort under that fault set uses."""
+    n = fault_set.n
+    _, sel = plan_partition(n, fault_set)
+    hops = PhaseMachine(n, faults=fault_set).hops
+    return build_ft_program(sel, hops), lower_schedule(build_ft_schedule(sel), hops)
+
+
+@st.composite
+def _processor_faults(draw):
+    n = draw(st.integers(min_value=2, max_value=9))
+    r = draw(st.integers(min_value=2, max_value=max(2, n - 1)))
+    procs = draw(st.lists(st.integers(min_value=0, max_value=(1 << n) - 1),
+                          min_size=r, max_size=r, unique=True))
+    kind = draw(st.sampled_from([FaultKind.PARTIAL, FaultKind.TOTAL]))
+    return FaultSet(n, procs, kind=kind)
+
+
+@st.composite
+def _link_faults(draw):
+    n = draw(st.integers(min_value=3, max_value=8))
+    procs = draw(st.lists(st.integers(min_value=0, max_value=(1 << n) - 1),
+                          max_size=n - 2, unique=True))
+    ends = draw(st.lists(
+        st.tuples(st.integers(min_value=0, max_value=(1 << n) - 1),
+                  st.integers(min_value=0, max_value=n - 1)),
+        min_size=1, max_size=3, unique_by=lambda e: (e[0] & ~(1 << e[1]), e[1])))
+    links = [(a, a ^ (1 << d)) for a, d in ends]
+    kind = draw(st.sampled_from([FaultKind.PARTIAL, FaultKind.TOTAL]))
+    return absorb_link_faults(FaultSet(n, procs, kind=kind, links=links))
+
+
+class TestDirectBuilders:
+    """``build_*_program`` equal the object route, array for array."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(fault_set=_processor_faults())
+    def test_ft_program_matches_object_route(self, fault_set):
+        assume(fault_set.satisfies_paper_model())
+        assert_same_program(*_ft_case(fault_set))
+
+    @settings(max_examples=30, deadline=None)
+    @example(fault_set=absorb_link_faults(
+        FaultSet(4, [3], kind=FaultKind.PARTIAL, links=[(9, 13), (0, 1)])))
+    @given(fault_set=_link_faults())
+    def test_ft_program_matches_object_route_with_link_faults(self, fault_set):
+        assume(fault_set.r >= 2 and fault_set.satisfies_paper_model())
+        n = fault_set.n
+        _, sel = plan_partition(n, fault_set)
+        hops = PhaseMachine(n, faults=fault_set).hops
+        try:
+            reference = lower_schedule(build_ft_schedule(sel), hops)
+        except ValueError:  # the faults cut some pair off from each other
+            assume(False)
+        assert_same_program(build_ft_program(sel, hops), reference)
+
+    @pytest.mark.parametrize("n", range(9))
+    def test_plain_program_matches_object_route(self, n):
+        for faulty in [None, *range(1 << n)]:
+            if n == 0 and faulty is not None:
+                continue
+            assert_same_program(build_plain_program(n, faulty),
+                                lower_schedule(build_plain_schedule(n, faulty)))
+
+    def test_plain_program_rejects_what_the_schedule_rejects(self):
+        with pytest.raises(ValueError):
+            build_plain_program(0, faulty=0)
+        with pytest.raises(ValueError):
+            build_plain_program(3, faulty=8)
+
+    def test_n14_manyproc_plan(self):
+        """The 16,380-row plan of the benchmark's many-processor workload."""
+        direct, reference = _ft_case(FaultSet(14, [3, 9, 4100], kind=FaultKind.PARTIAL))
+        assert_same_program(direct, reference)
+
+    def test_one_dimensional_subcubes_keep_empty_mirrors(self):
+        """s = 1: a mirror substage has no pairs and is still emitted."""
+        fault_set = FaultSet(2, [0, 1], kind=FaultKind.PARTIAL)
+        direct, reference = _ft_case(fault_set)
+        assert_same_program(direct, reference)
+        mirrors = [s for s in direct.substages if s.kind == "mirror"]
+        assert mirrors and all(s.a_rows.size == 0 for s in mirrors)
+        assert all(s.uniform_hops is None for s in mirrors)
+
+    def test_total_fault_detours_are_per_pair(self):
+        """A route around a totally faulty node is longer than the Hamming
+        distance for some pairs of one inter-subcube substage only."""
+        fault_set = FaultSet(5, [1, 2], kind=FaultKind.TOTAL)
+        direct, reference = _ft_case(fault_set)
+        assert_same_program(direct, reference)
+        _, sel = plan_partition(5, fault_set)
+        hamming = build_ft_program(sel)
+        detoured = [
+            (got.label, got.hops.tolist(), ecube.hops.tolist())
+            for got, ecube in zip(direct.substages, hamming.substages)
+            if got.label.startswith("inter") and got.uniform_hops is None
+        ]
+        assert detoured
+        assert any(hops != ecube for _, hops, ecube in detoured)
+
+    def test_without_metric_hops_are_hamming_distances(self):
+        _, sel = plan_partition(5, PAPER_FAULTS)
+        assert_same_program(build_ft_program(sel),
+                            lower_schedule(build_ft_schedule(sel), hamming_distance))

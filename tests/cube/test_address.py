@@ -107,6 +107,12 @@ class TestPopcountArray:
         out = popcount_array(vals)
         assert out.tolist() == [hamming_weight(int(v)) for v in vals]
 
+    def test_all_64_bits(self, rng):
+        vals = rng.integers(0, 2**63 - 1, size=256, dtype=np.int64)
+        assert popcount_array(vals).tolist() == [hamming_weight(int(v)) for v in vals]
+        words = np.array([0, 1, 2**63, 2**64 - 1, 0x8000000000000001], dtype=np.uint64)
+        assert popcount_array(words).tolist() == [0, 1, 1, 64, 2]
+
     def test_rejects_float_array(self):
         with pytest.raises(TypeError):
             popcount_array(np.array([1.0, 2.0]))

@@ -136,6 +136,18 @@ class TestStructure:
         fs = FaultSet(2, [1, 2], kind=FaultKind.PARTIAL)
         assert fs.is_connected()
 
+    @pytest.mark.parametrize("fs,detours", [
+        (FaultSet(4, [1, 6], kind=FaultKind.PARTIAL), False),
+        (FaultSet(4, [1, 6], kind=FaultKind.TOTAL), True),
+        (FaultSet(4, [], kind=FaultKind.PARTIAL, links=[(0, 1)]), True),
+        (FaultSet(4, [], kind=FaultKind.TOTAL), False),
+    ], ids=["partial", "total", "links", "total-r0"])
+    def test_may_detour(self, fs, detours):
+        from repro.simulator.router import Router
+
+        assert fs.may_detour is detours
+        assert Router(fs).strategy == ("adaptive" if detours else "ecube")
+
     def test_dimension_mismatch_not_allowed_in_sort(self):
         from repro.core.ftsort import fault_tolerant_sort
 

@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import numpy as np
+import pytest
+
+from repro.core.ftsort import fault_tolerant_sort
 from repro.obs.metrics import MetricsRegistry
-from repro.plancache import PlanCache
+from repro.plancache import PLAN_CACHE, PlanCache
 from repro.plancache.cache import _env_enabled
 
 
@@ -84,3 +88,28 @@ class TestEnvGate:
             else:
                 monkeypatch.setenv("REPRO_PLAN_CACHE", value)
             assert _env_enabled() is expected
+
+
+class TestCompiledTierFootprint:
+    """Compiled-tier sorts build their programs from the plan: the cache
+    gains one ``compiled`` entry per new plan and no ``sched`` entry."""
+
+    @staticmethod
+    def _entries(section: str) -> int:
+        return sum(1 for sec, _ in list(PLAN_CACHE._store) if sec == section)
+
+    @pytest.mark.parametrize("plans", [
+        [(3, []), (4, [])],
+        [(4, [5]), (4, [6])],
+        [(4, [3, 9, 14]), (5, [3, 5, 16, 24])],
+    ], ids=["r0", "r1", "r>=2"])
+    def test_one_compiled_entry_per_new_plan_and_no_schedule(self, monkeypatch, plans):
+        monkeypatch.setattr(PLAN_CACHE, "enabled", True)
+        PLAN_CACHE.clear()
+        sched_misses = PLAN_CACHE.stats()["misses"]["sched"]
+        keys = np.random.default_rng(4).random(100)
+        for count, (n, faults) in enumerate(plans * 2):
+            fault_tolerant_sort(keys, n, faults, kernels="compiled")
+            assert self._entries("compiled") == min(count + 1, len(plans))
+        assert PLAN_CACHE.stats()["misses"]["sched"] == sched_misses
+        assert self._entries("sched") == 0
