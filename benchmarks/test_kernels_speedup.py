@@ -10,6 +10,9 @@ The headline measurements from the PERFORMANCE.md contract:
 * the compiled tier with each substage's compare-splits split across the
   usable cores versus the same call held to one core (``n = 10``,
   ``M = 10^6``, faults ``{3, 9}``);
+* the compiled tier's sorted-rows compare-split against its selection
+  compare-split, across block sizes from 17 to 515 keys and on
+  lib-manyproc's shape (``n = 14``, 17-key blocks);
 * building a fresh plan's compiled program straight from the plan versus
   building and lowering its per-pair schedule objects (``n = 10``,
   ``r = 5`` and ``n = 14``; ``n = 8`` with ``--fast``);
@@ -33,6 +36,7 @@ import time
 import numpy as np
 import pytest
 
+import repro.kernels.compiled as compiled
 import repro.parallel as parallel
 from repro.chaos.campaign import run_campaign
 from repro.core.ftsort import fault_tolerant_sort, plan_partition
@@ -230,6 +234,68 @@ class TestCompiledSplitSpeedup:
             "effective_cpu_count": cpus, "fast_mode": fast_mode,
         })
         assert parity, "splitting substages across cores changed the result"
+
+
+class TestSmallBlockRegime:
+    """Sorted rows against selection, the compiled tier's two compare-split
+    regimes, across block sizes.
+
+    Each row runs one shape with the regime bound
+    (``_SORTED_ROWS_MAX_K``) forced to 0 (selection everywhere) and above
+    the block (sorted rows everywhere), asserts the two identical in
+    bytes, clock and phase records, and times both, best-of, alternating
+    which runs first.  The rows are ``k`` of 17 to 515 on the n=10 plan
+    with faults {3, 9, 100} (1,020 rows: svc-stream's plan, whose 2^19
+    keys make 515-key blocks) and lib-manyproc's shape (n=14, faults
+    {3, 9, 4100}, 2^18 keys in 16,380 rows of 17 keys), which is the
+    headline.  ``speedup`` is selection over sorted-rows wall time;
+    ``cutover_k`` is the bound the tier ships with.  CI's multi-core job
+    asserts the headline speedup at full size.
+    """
+
+    SHAPES = [(10, [3, 9, 100], 1020 * k) for k in (17, 35, 65, 129, 257, 515)]
+    HEADLINE = (14, [3, 9, 4100], 1 << 18)
+    SELECT, SORT = 0, 1 << 30  # the bound that forces each regime
+
+    def test_sorted_rows_vs_selection(self, fast_mode, bench_json, monkeypatch):
+        reps = 2 if fast_mode else 5
+        cutover_k = compiled._SORTED_ROWS_MAX_K
+        rows = []
+        for n, faults, m_keys in self.SHAPES + [self.HEADLINE]:
+            keys = np.random.default_rng(SEED).random(m_keys)
+
+            def run(bound):
+                monkeypatch.setattr(compiled, "_SORTED_ROWS_MAX_K", bound)
+                return fault_tolerant_sort(keys, n, faults, kernels="compiled")
+
+            select, by_sort = run(self.SELECT), run(self.SORT)
+            parity = (
+                select.sorted_keys.tobytes() == by_sort.sorted_keys.tobytes()
+                and select.elapsed == by_sort.elapsed
+                and _records(select) == _records(by_sort)
+            )
+            best = {self.SELECT: float("inf"), self.SORT: float("inf")}
+            for rep in range(reps):
+                for bound in ((self.SELECT, self.SORT) if rep % 2 == 0
+                              else (self.SORT, self.SELECT)):
+                    t0 = time.perf_counter()
+                    run(bound)
+                    best[bound] = min(best[bound], time.perf_counter() - t0)
+            rows.append({
+                "n": n, "faults": faults, "m_keys": m_keys,
+                "k": select.block_size, "select_seconds": best[self.SELECT],
+                "sort_seconds": best[self.SORT],
+                "speedup": best[self.SELECT] / best[self.SORT], "parity": bool(parity),
+            })
+            print(f"\nn={n} k={select.block_size}: selection "
+                  f"{best[self.SELECT] * 1e3:.1f}ms vs sorted rows "
+                  f"{best[self.SORT] * 1e3:.1f}ms ({rows[-1]['speedup']:.2f}x)")
+        head = rows[-1]
+        bench_json("kernels", "small_block", {
+            **head, "rows": rows, "cutover_k": cutover_k, "fast_mode": fast_mode,
+        })
+        assert all(row["parity"] for row in rows), (
+            "the two compare-split regimes diverged")
 
 
 def _same_program(a, b) -> bool:

@@ -9,27 +9,43 @@ program :func:`~repro.core.schedule.lower_schedule` would make of the
 plan's :class:`~repro.core.schedule.SortSchedule`), and
 :func:`run_schedule_compiled` executes each substage as a handful of numpy
 operations — one vectorized probe, a gather of the executed pairs, one
-batched selection, one scatter — with the paper's comparison/traffic
+batched compare-split, one scatter — with the paper's comparison/traffic
 accounting computed in *closed form* per substage.  No per-processor
 Python object exists between substages.
 
 A compare-split only has to leave the ``k`` smallest keys of a pair's
-union on the min side, and a probe only reads a block's extremes.  So the
-executor keeps each row as an unsorted multiset plus its tracked minimum
-and maximum: ``ndarray.partition`` does the split (a selection, not the
-paper's linear merge), and every row is sorted once, after the last
-substage.  The final rows, and hence every output, are what merging
-would have produced.
+union on the min side, and a probe only reads a block's extremes.  The
+executor picks one of two regimes per call, from the block size ``k``:
+
+* **sorted rows** (``0 < k <= _SORTED_ROWS_MAX_K``): as in the paper,
+  every row stays sorted.  Step 3a sorts the rows, one row ``sort`` of
+  each executed pair's union puts its ``k`` smallest keys on the min
+  side, and a row's extremes are its first and last columns, read in
+  place.  For small blocks that sort costs less than a selection plus
+  the reduction that finds the min side's maximum;
+* **selection** (bigger blocks): each row is an unsorted multiset plus
+  its tracked minimum and maximum, ``ndarray.partition`` does the split,
+  and every row is sorted once, after the last substage.
+
+Neither regime is the paper's linear merge, but both leave the multiset
+a merge would leave in every row after every substage, so the probe
+decisions, the simulated clock, the counters and the final sorted rows
+cannot depend on the regime (keys that compare equal with different
+bits, ``-0.0`` and ``0.0``, may trade places; no tier pins their order).
+An active comparison injector always takes the selection regime: the
+lying duel runs on sorted copies of the two rows, as the interpreter's
+does, and leaves both halves unsorted, so the selection regime's tracked
+extremes and final row sort are what keep its probes and output exact.
 
 A substage's compare-splits touch disjoint rows, so a big enough call
 cuts the executed pairs into contiguous chunks, one per core the process
 may use (:func:`repro.parallel.kernel_threads`).  The calling thread runs
-the first chunk's gather, selection and scatter while helper threads run
-the others; numpy releases the GIL inside each of those calls.  The
-final row sort is cut the same way.  Each chunk owns its own rows and
-buffer slices, and everything else (the probe, the accounting, mirror
-swaps) stays on the calling thread, so the split cannot change an
-output.
+the first chunk's gather, compare-split and scatter while helper threads
+run the others; numpy releases the GIL inside each of those calls.  The
+selection regime's final row sort is cut the same way.  Each chunk owns
+its own rows and buffer slices, and everything else (the probe, the
+accounting, mirror swaps) stays on the calling thread, so the split
+cannot change an output.
 
 Off the schedule — the per-pair interpreter (per-phase ``observer``
 callbacks, the ``step8="full-sort"`` ablation), the SPMD machine's
@@ -79,6 +95,14 @@ __all__ = ["CompiledBackend", "heapsort_batch", "run_schedule_compiled"]
 #: thread's hand-off costs more than the chunk's work saves.  Measured
 #: crossover: docs/PERFORMANCE.md §1, "Substages across cores".
 _MIN_CHUNK_KEYS = 1 << 16
+
+#: Largest block whose rows stay sorted for the whole call (the module
+#: docstring's small-block regime).  Up to here one row sort of each
+#: union beats ``partition(k)`` plus the ``max`` reduction; it must stay
+#: below svc-stream's 515-key blocks, where the sort loses on small
+#: cubes.  Measured crossover: docs/PERFORMANCE.md §1, "Small blocks:
+#: sort the union".
+_SORTED_ROWS_MAX_K = 128
 
 
 def _sift_down_batch(a: np.ndarray, rows: np.ndarray, start: int, end: int,
@@ -246,13 +270,19 @@ def _in_chunks(pool, chunks: int, count: int, fn, *args) -> None:
 
 def _split_pairs(lo, hi, key_matrix, rows, pairs, lo_max, k) -> None:
     """Compare-split executed pairs ``lo..hi-1``, allocating nothing: they
-    own ``rows[2lo:2hi]``, ``pairs[2lo:2hi]`` and ``lo_max[lo:hi]``."""
+    own ``rows[2lo:2hi]``, ``pairs[2lo:2hi]`` and ``lo_max[lo:hi]``.
+
+    ``lo_max`` is None in the sorted-rows regime: each union is sorted
+    whole and no extreme is tracked."""
     idx = rows[2 * lo:2 * hi]
     own = pairs[2 * lo:2 * hi]
     np.take(key_matrix, idx, axis=0, out=own, mode="clip")
     union = own.reshape(hi - lo, 2 * k)
-    union.partition(k, axis=1)
-    np.max(union[:, :k], axis=1, out=lo_max[lo:hi])
+    if lo_max is None:
+        union.sort(axis=1)
+    else:
+        union.partition(k, axis=1)
+        np.max(union[:, :k], axis=1, out=lo_max[lo:hi])
     key_matrix[idx] = own
 
 
@@ -262,12 +292,9 @@ def _sort_rows(lo, hi, key_matrix) -> None:
 
 def _close_phase(machine, rec) -> None:
     """Append a finished :class:`PhaseRecord` exactly as ``machine.phase``
-    does on exit: advance the clock, store the record, report to obs."""
-    started_at = machine.elapsed
+    does on exit: advance the clock and store the record."""
     machine.elapsed += rec.duration
     machine.phases.append(rec)
-    if machine.obs.enabled:
-        machine._record_phase(rec, started_at)
 
 
 def run_schedule_compiled(
@@ -334,16 +361,23 @@ def run_schedule_compiled(
     key_matrix, block = pad_and_chunk(keys_arr, program.workers)
     k = int(block)
     obs_on = machine.obs.enabled
-    met = machine.obs.metrics if obs_on else None
+    # The tracer hears of the phases and the sort.* counters once, after
+    # the last substage: reporting each substage as it closed made a
+    # traced small sort measurably slower, and nothing reads them during
+    # the call.
+    mirror_pairs = cx_executed = cx_skipped = sort_messages = 0
     # Active comparison injector (chaos fault universes): the flip mask is
     # a pure symmetric hash of the operand values, so the flipped probe
     # and duel verdicts below are byte-identical to the interpreted
     # engines' — the parity contract survives injection.
     inj = active_comparison()
+    # The compare-split regime (module docstring), fixed for the call.
+    sorted_rows = 0 < k <= _SORTED_ROWS_MAX_K and inj is None
 
     # -- local sort (step 3a) ---------------------------------------------
-    # Rows stay unsorted until after the last substage (module docstring);
-    # ``row_min``/``row_max`` track each row's extremes.  Without exact
+    # Small blocks are sorted here and stay sorted, so their extremes are
+    # columns.  Big blocks stay unsorted until after the last substage;
+    # ``row_min``/``row_max`` track each row's extremes, and without exact
     # counts the phase is charged in closed form and no sort runs here.
     rec = PhaseRecord("local-heapsort")
     if k > 0:
@@ -355,10 +389,17 @@ def run_schedule_compiled(
             counts = np.full(
                 program.workers, heapsort_comparisons_worst_case(k), dtype=np.int64
             )
+            if sorted_rows:
+                key_matrix.sort(axis=1)
         rec.comparisons = int(counts.sum())
         rec.duration = float((counts * t_compare).max())
-        row_min = key_matrix.min(axis=1)
-        row_max = key_matrix.max(axis=1)
+        if sorted_rows:
+            # Views: every later write to the matrix is in place.
+            row_min = key_matrix[:, 0]
+            row_max = key_matrix[:, k - 1]
+        else:
+            row_min = key_matrix.min(axis=1)
+            row_max = key_matrix.max(axis=1)
     _close_phase(machine, rec)
 
     # -- substages ---------------------------------------------------------
@@ -399,15 +440,14 @@ def run_schedule_compiled(
                 ab = np.concatenate((sub.a_rows, sub.b_rows))
                 ba = np.concatenate((sub.b_rows, sub.a_rows))
                 key_matrix[ab] = key_matrix[ba]
-                row_min[ab] = row_min[ba]
-                row_max[ab] = row_max[ba]
+                if not sorted_rows:
+                    row_min[ab] = row_min[ba]
+                    row_max[ab] = row_max[ba]
             _close_phase(machine, rec)
             # The interpreter counts mirror pairs (and their two messages)
             # into the sort.* metrics even for empty blocks — the phase
             # happened, the swap was structurally real.
-            if obs_on and pair_count:
-                met.inc("sort.mirror.pairs", pair_count)
-                met.inc("sort.messages", 2 * pair_count)
+            mirror_pairs += pair_count
             continue
 
         if pair_count == 0 or k == 0:
@@ -417,8 +457,9 @@ def run_schedule_compiled(
             continue
 
         # Probe: each side ships one boundary key (its sorted block's last
-        # or first key: the tracked extremes); the pair skips the block
-        # exchange when the blocks are already correctly split.
+        # or first key: a column of a sorted row, or a tracked extreme);
+        # the pair skips the block exchange when the blocks are already
+        # correctly split.
         a_last = row_max[sub.a_rows]
         b_first = row_min[sub.b_rows]
         skip = a_last <= b_first
@@ -476,30 +517,37 @@ def run_schedule_compiled(
                 key_matrix[rows] = pairs
             else:
                 # A compare-split keeps the k smallest keys of the union
-                # on the min side: a selection, not a merge.
+                # on the min side: a merge is not needed.  Small blocks
+                # sort the union, which keeps both rows sorted; big ones
+                # select.
                 union = pairs.reshape(executed, 2 * k)
                 chunks = min(threads, executed, 2 * k * executed // _MIN_CHUNK_KEYS)
                 if chunks > 1:
-                    lo_max = lo_max_buf[:executed]
+                    lo_max = None if sorted_rows else lo_max_buf[:executed]
                     _in_chunks(pool, chunks, executed, _split_pairs,
                                key_matrix, rows, pairs, lo_max, k)
                 else:
                     # _split_pairs's steps, inline: calling it here made
                     # 2,048-key sorts about 10% slower.
                     np.take(key_matrix, rows, axis=0, out=pairs, mode="clip")
-                    union.partition(k, axis=1)
-                    # Position k - 1 holds the min side's maximum in most
-                    # rows but not all: partition only orders around the
-                    # kth key.
-                    lo_max = union[:, :k].max(axis=1)
+                    if sorted_rows:
+                        union.sort(axis=1)
+                    else:
+                        union.partition(k, axis=1)
+                        # Position k - 1 holds the min side's maximum in
+                        # most rows but not all: partition only orders
+                        # around the kth key.
+                        lo_max = union[:, :k].max(axis=1)
                     key_matrix[rows] = pairs
-                lo_min = np.minimum(row_min[live_a], row_min[live_b])
-                hi_max = np.maximum(row_max[live_a], row_max[live_b])
-                hi_min = union[:, k]
-            row_min[live_a] = lo_min
-            row_max[live_a] = lo_max
-            row_min[live_b] = hi_min
-            row_max[live_b] = hi_max
+                if not sorted_rows:
+                    lo_min = np.minimum(row_min[live_a], row_min[live_b])
+                    hi_max = np.maximum(row_max[live_a], row_max[live_b])
+                    hi_min = union[:, k]
+            if not sorted_rows:
+                row_min[live_a] = lo_min
+                row_max[live_a] = lo_max
+                row_min[live_b] = hi_min
+                row_max[live_b] = hi_max
             node_t = par.transfer_time(1, live_h) + t_compare
             node_t = node_t + par.transfer_time(first_leg, live_h)
             if return_leg:
@@ -517,19 +565,33 @@ def run_schedule_compiled(
         rec.element_hops = element_hops
         rec.messages = messages
         _close_phase(machine, rec)
-        if obs_on:
-            if executed:
-                met.inc("sort.cx.executed", executed)
-            if skipped:
-                met.inc("sort.cx.skipped", skipped)
-            met.inc("sort.messages", messages)
+        cx_executed += executed
+        cx_skipped += skipped
+        sort_messages += messages
 
-    # Every row now holds its final multiset; one sort puts each in order.
-    chunks = min(threads, program.workers, key_matrix.size // _MIN_CHUNK_KEYS)
-    if chunks > 1:
-        _in_chunks(pool, chunks, program.workers, _sort_rows, key_matrix)
-    else:
-        key_matrix.sort(axis=1)
+    if not sorted_rows:
+        # Every row now holds its final multiset; one sort puts each in
+        # order.
+        chunks = min(threads, program.workers, key_matrix.size // _MIN_CHUNK_KEYS)
+        if chunks > 1:
+            _in_chunks(pool, chunks, program.workers, _sort_rows, key_matrix)
+        else:
+            key_matrix.sort(axis=1)
+
+    if obs_on:
+        # Phase start times re-add the durations in the clock's order.
+        starts, t = [], 0.0
+        for rec in machine.phases:
+            starts.append(t)
+            t += rec.duration
+        machine._record_phases(machine.phases, starts)
+        met = machine.obs.metrics
+        for name, total in (("sort.mirror.pairs", mirror_pairs),
+                            ("sort.cx.executed", cx_executed),
+                            ("sort.cx.skipped", cx_skipped),
+                            ("sort.messages", sort_messages + 2 * mirror_pairs)):
+            if total:
+                met.inc(name, total)
 
     # -- gather ------------------------------------------------------------
     # Blocks are handed out as row views of the (now final) key matrix —

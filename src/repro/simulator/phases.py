@@ -231,33 +231,36 @@ class PhaseMachine:
             self._current = None
             self._node_time = {}
             if self.obs.enabled:
-                self._record_phase(rec, started_at)
+                self._record_phases((rec,), (started_at,))
             if self.on_phase_end is not None:
                 self.on_phase_end(self, rec)
 
-    def _record_phase(self, rec: PhaseRecord, started_at: float) -> None:
-        """Report a closed phase to the attached observability tracer."""
-        self.obs.complete(
-            rec.label,
-            ts=started_at,
-            dur=rec.duration,
-            cat="phase",
-            pid=PID_SIM,
-            tid=TID_PHASES,
-            args={
-                "comparisons": rec.comparisons,
-                "elements_sent": rec.elements_sent,
-                "element_hops": rec.element_hops,
-                "messages": rec.messages,
-            },
-        )
+    def _record_phases(self, records, starts) -> None:
+        """Report closed phases, started at ``starts``, to the attached
+        tracer: one span and one ``phase.keys_moved`` sample each, and each
+        ``phase.*`` counter once for all of them."""
         m = self.obs.metrics
-        m.inc("phase.count")
-        m.inc("phase.messages", rec.messages)
-        m.inc("phase.elements", rec.elements_sent)
-        m.inc("phase.element_hops", rec.element_hops)
-        m.inc("phase.comparisons", rec.comparisons)
-        m.observe("phase.keys_moved", rec.elements_sent)
+        for rec, started_at in zip(records, starts):
+            self.obs.complete(
+                rec.label,
+                ts=started_at,
+                dur=rec.duration,
+                cat="phase",
+                pid=PID_SIM,
+                tid=TID_PHASES,
+                args={
+                    "comparisons": rec.comparisons,
+                    "elements_sent": rec.elements_sent,
+                    "element_hops": rec.element_hops,
+                    "messages": rec.messages,
+                },
+            )
+            m.observe("phase.keys_moved", rec.elements_sent)
+        m.inc("phase.count", len(records))
+        m.inc("phase.messages", sum(rec.messages for rec in records))
+        m.inc("phase.elements", sum(rec.elements_sent for rec in records))
+        m.inc("phase.element_hops", sum(rec.element_hops for rec in records))
+        m.inc("phase.comparisons", sum(rec.comparisons for rec in records))
 
     def _require_phase(self) -> PhaseRecord:
         if self._current is None:

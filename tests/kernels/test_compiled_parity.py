@@ -12,8 +12,11 @@ counts (including block skew from padding), fault plans (fault-free, single-faul
 mirror substages), and exact/worst-case local counting; further tests pin
 obs counter parity, plan-cache warm replay, the honest-accounting
 identity tying actual traffic to the schedule's closed-form worst case,
-and the split of each substage's compare-splits across cores (forced on
-with uneven chunks, turned off on one core, and safe across ``fork``).
+the executor's two compare-split regimes (sorted rows for small blocks,
+selection for big ones: each forced on every input, and the block size
+where one hands over to the other), and the split of each substage's
+compare-splits across cores (forced on with uneven chunks, turned off on
+one core, and safe across ``fork``).
 """
 
 from __future__ import annotations
@@ -182,6 +185,74 @@ def _fault_plans(draw):
     return n, sorted(faults)
 
 
+def _spy_chunks(monkeypatch) -> list:
+    """Record ``(thread name, sorted-rows regime)`` for every chunk of
+    compare-splits that ``_split_pairs`` runs."""
+    chunks = []
+    real = compiled._split_pairs
+
+    def spy(lo, hi, key_matrix, rows, pairs, lo_max, k):
+        chunks.append((threading.current_thread().name, lo_max is None))
+        real(lo, hi, key_matrix, rows, pairs, lo_max, k)
+
+    monkeypatch.setattr(compiled, "_split_pairs", spy)
+    return chunks
+
+
+class TestCompareSplitRegimes:
+    """Blocks of up to ``_SORTED_ROWS_MAX_K`` keys keep their rows sorted
+    (one row sort per union); bigger ones select.  Both regimes leave the
+    same multiset in every row after every substage, so forcing either
+    one on any input changes no byte, clock tick or counter."""
+
+    @settings(max_examples=25, deadline=None)
+    @example(plan=(5, PAPER_FAULTS), keys=400, high=10**6, seed=0, exact=False)
+    @example(plan=(5, PAPER_FAULTS), keys=397, high=20, seed=1, exact=True)
+    @example(plan=(4, FaultSet(4, [3, 9, 14], kind=FaultKind.TOTAL)), keys=120,
+             high=10**6, seed=5, exact=False)
+    @given(
+        plan=_fault_plans(),
+        keys=st.integers(min_value=0, max_value=400),
+        high=st.sampled_from([20, 10**6]),
+        seed=st.integers(min_value=0, max_value=10_000),
+        exact=st.booleans(),
+    )
+    def test_both_regimes_match_loop(self, plan, keys, high, seed, exact):
+        """Selection everywhere (the bound at 0) and sorted rows
+        everywhere (the bound above every block).  The examples pin a
+        plan with mirror substages and a total-fault plan whose routes
+        detour."""
+        n, faults = plan
+        key_arr = np.random.default_rng(seed).integers(0, high, size=keys).astype(float)
+        loop, loop_counts = _traced_sort(key_arr, n, faults, "loop", exact)
+        np.testing.assert_array_equal(loop.sorted_keys, np.sort(key_arr))
+        for bound in (0, 1 << 30):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(compiled, "_SORTED_ROWS_MAX_K", bound)
+                fast, fast_counts = _traced_sort(key_arr, n, faults, "compiled", exact)
+            _assert_identical(loop, fast)
+            assert fast_counts == loop_counts
+
+    @pytest.mark.parametrize("block,sorted_rows", [
+        (compiled._SORTED_ROWS_MAX_K, True),
+        (compiled._SORTED_ROWS_MAX_K + 1, False),
+    ])
+    def test_regime_changes_above_the_bound(self, block, sorted_rows, monkeypatch):
+        """Q5 with the paper's faults has 24 workers; one key short of
+        ``24 * block`` leaves one padded row.  One-key chunks make every
+        substage with two executed pairs report its regime."""
+        keys = np.random.default_rng(block).integers(0, 10**6, 24 * block - 1).astype(float)
+        chunks = _spy_chunks(monkeypatch)
+        monkeypatch.setattr(compiled, "_MIN_CHUNK_KEYS", 1)
+        monkeypatch.setattr(parallel, "_kernel_threads", 2)
+        fast, fast_counts = _traced_sort(keys, 5, PAPER_FAULTS, "compiled")
+        loop, loop_counts = _traced_sort(keys, 5, PAPER_FAULTS, "loop")
+        assert fast.block_size == block
+        assert chunks and {regime for _, regime in chunks} == {sorted_rows}
+        _assert_identical(loop, fast)
+        assert fast_counts == loop_counts
+
+
 #: 2^18 keys on Q6 with faults {3, 9}: 62 rows of 4,229 keys, so every
 #: substage and the final sort are far above two chunks of the real
 #: ``_MIN_CHUNK_KEYS``.
@@ -208,9 +279,11 @@ class TestSplitAcrossCores:
         """One-key chunks and a budget of 3 threads: every substage with
         two or more executed pairs splits, unevenly whenever the count is
         not a multiple of 3.  The examples pin a plan with mirror
-        substages, and one with 134-key blocks: numpy's partition can
-        leave a union of up to 256 keys fully sorted (it does on AVX-512
-        hosts), which would hide a row the final sort missed."""
+        substages, and one with 134-key blocks, above
+        ``_SORTED_ROWS_MAX_K``, so they take the selection regime and its
+        final row sort: numpy's partition can leave a union of up to 256
+        keys fully sorted (it does on AVX-512 hosts), which would hide a
+        row the final sort missed."""
         n, faults = plan
         key_arr = np.random.default_rng(seed).integers(0, high, size=keys).astype(float)
         with pytest.MonkeyPatch.context() as mp:
@@ -225,33 +298,37 @@ class TestSplitAcrossCores:
         _assert_identical(loop, split)
         assert split_counts == serial_counts == loop_counts
 
-    def test_large_sort_runs_chunks_on_helper_threads(self, monkeypatch):
+    @staticmethod
+    def _on_helper_threads(monkeypatch, keys, n, faults) -> set:
         """More threads than usable cores, switching as often as the
         interpreter allows: a chunk that wrote outside its own rows would
-        show up as a changed byte."""
-        keys = np.random.default_rng(11).random(LARGE_KEYS)
-        workers = set()
-        real = compiled._split_pairs
-
-        def spy(*args):
-            workers.add(threading.current_thread().name)
-            real(*args)
-
-        monkeypatch.setattr(compiled, "_split_pairs", spy)
+        show up as a changed byte.  Returns the regimes the chunks ran."""
+        chunks = _spy_chunks(monkeypatch)
         monkeypatch.setattr(parallel, "_kernel_threads",
                             parallel.effective_cpu_count() + 1)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            split, split_counts = _traced_sort(keys, LARGE_N, LARGE_FAULTS, "compiled")
+            split, split_counts = _traced_sort(keys, n, faults, "compiled")
         finally:
             sys.setswitchinterval(interval)
-        assert any(name.startswith("repro-kernel") for name in workers)
+        assert any(name.startswith("repro-kernel") for name, _ in chunks)
         monkeypatch.setattr(parallel, "_kernel_threads", 1)
-        serial, serial_counts = _traced_sort(keys, LARGE_N, LARGE_FAULTS, "compiled")
+        serial, serial_counts = _traced_sort(keys, n, faults, "compiled")
         np.testing.assert_array_equal(split.sorted_keys, np.sort(keys))
         _assert_identical(serial, split)
         assert split_counts == serial_counts
+        return {regime for _, regime in chunks}
+
+    def test_large_sort_runs_chunks_on_helper_threads(self, monkeypatch):
+        keys = np.random.default_rng(11).random(LARGE_KEYS)
+        assert self._on_helper_threads(monkeypatch, keys, LARGE_N, LARGE_FAULTS) == {False}
+
+    def test_small_block_sort_runs_chunks_on_helper_threads(self, monkeypatch):
+        """2^18 keys on Q12 with faults {3, 9}: 4,094 rows of 65 keys, in
+        the sorted-rows regime, and most substages split."""
+        keys = np.random.default_rng(14).random(1 << 18)
+        assert self._on_helper_threads(monkeypatch, keys, 12, [3, 9]) == {True}
 
     def test_one_usable_core_starts_no_helper_thread(self, monkeypatch):
         monkeypatch.setattr(parallel, "effective_cpu_count", lambda: 1)
