@@ -75,9 +75,9 @@ def plan_partition(
     Ψ (it must be feasible and of minimum length) — used by tests and the
     partition-explorer example.
 
-    The un-overridden path is served from :data:`repro.plancache.PLAN_CACHE`
-    (exact replay through the hypercube-symmetry canonical form; a
-    transparent pass-through when the cache is disabled).
+    The un-overridden path is served from :data:`repro.plancache.PLAN_CACHE`,
+    keyed on the exact fault set (a transparent pass-through when the
+    cache is disabled).
     """
     from repro.plancache.cache import plan_with_cache
 

@@ -23,7 +23,6 @@ __all__ = [
     "gray_rank",
     "hamming_distance",
     "hamming_weight",
-    "permute_bits",
     "popcount_array",
     "set_bit",
     "to_bits",
@@ -93,24 +92,6 @@ def hamming_distance(a: int, b: int) -> int:
     fault-free hypercube, and the paper's ``HD`` function (Eq. 1).
     """
     return hamming_weight(a ^ b)
-
-
-def permute_bits(addr: int, perm: tuple[int, ...] | list[int]) -> int:
-    """Relabel the dimensions of ``addr``: bit ``d`` moves to bit ``perm[d]``.
-
-    ``perm`` must be a permutation of ``0 .. n-1`` where ``n = len(perm)``;
-    ``addr`` must fit in ``n`` bits.  Dimension permutations are (together
-    with XOR translations) exactly the automorphisms of ``Q_n``, which is
-    what makes them the re-indexing maps of the plan cache
-    (:mod:`repro.plancache`).
-    """
-    if addr >> len(perm):
-        raise ValueError(f"address {addr} does not fit in {len(perm)} bits")
-    out = 0
-    for d, target in enumerate(perm):
-        if (addr >> d) & 1:
-            out |= 1 << target
-    return out
 
 
 _M1, _M2, _M4, _H01 = (np.uint64(m) for m in (

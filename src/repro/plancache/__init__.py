@@ -1,10 +1,8 @@
-"""Memoizing planning layer keyed on hypercube-symmetry canonical forms.
+"""Memoizing planning layer: plans, schedules, compiled programs and routes.
 
-See :mod:`repro.plancache.cache` for the cache itself and
-:mod:`repro.plancache.canonical` for the ``Aut(Q_n)`` canonicalization.
+See :mod:`repro.plancache.cache`.
 """
 
-from repro.plancache.canonical import CanonicalTransform, canonical_form, orbit_signature
 from repro.plancache.cache import (
     PLAN_CACHE,
     PlanCache,
@@ -16,12 +14,9 @@ from repro.plancache.cache import (
 
 __all__ = [
     "PLAN_CACHE",
-    "CanonicalTransform",
     "PlanCache",
     "cached_ft_schedule",
     "cached_plain_schedule",
     "cached_route_table",
-    "canonical_form",
-    "orbit_signature",
     "plan_with_cache",
 ]

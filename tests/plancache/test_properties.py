@@ -1,17 +1,14 @@
 """Property-based tests for the plan cache (hypothesis).
 
-Two invariants carry the whole tentpole:
-
-* **Canonical-form invariance** — ``canonical_form`` must be constant on
-  automorphism orbits: applying any hypercube automorphism (an XOR
-  translation composed with a dimension permutation) to a fault set must
-  not change its canonical form.  This is what makes the cache key sound.
-* **Replay fidelity** — a plan served *through* the cache (including the
-  hit path, where the stored canonical plan was computed for a different
-  member of the orbit) must equal a cold ``find_min_cuts`` +
-  ``select_cut_sequence`` run exactly: same mincut, same Ψ (order
-  included), same selection, and — end to end — the same sorted bytes and
-  simulated cost on both kernel backends.
+* **Replay fidelity** — a plan served *through* the cache must equal a
+  cold ``find_min_cuts`` + ``select_cut_sequence`` run exactly: same
+  mincut, same Ψ (order included), same selection, and — end to end —
+  the same sorted bytes and simulated cost on both kernel backends.  The
+  cache is warmed with an automorphic image of the fault set first: the
+  image poses the same planning problem up to relabeling, so a key that
+  confused the two would serve the wrong plan.
+* **Exact keys** — each real fault set is planned once and then hit;
+  automorphic images are separate entries and never share a plan.
 """
 
 from __future__ import annotations
@@ -20,12 +17,12 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import repro.core.partition as partition_mod
 from repro.core.ftsort import fault_tolerant_sort
 from repro.faults.model import FaultSet
 from repro.core.partition import find_min_cuts
 from repro.core.selection import select_cut_sequence
-from repro.cube.address import permute_bits
-from repro.plancache import PLAN_CACHE, canonical_form, plan_with_cache
+from repro.plancache import PLAN_CACHE, plan_with_cache
 
 
 @st.composite
@@ -42,29 +39,12 @@ def _orbit_case(draw):
     return n, procs, translate, perm
 
 
-def _image(n: int, procs, translate: int, perm) -> tuple[int, ...]:
-    return tuple(sorted(permute_bits(p ^ translate, perm) for p in procs))
-
-
-class TestCanonicalInvariance:
-    @given(_orbit_case())
-    @settings(max_examples=120, deadline=None)
-    def test_canonical_form_constant_on_orbit(self, case):
-        n, procs, translate, perm = case
-        form, _ = canonical_form(n, procs)
-        form_img, _ = canonical_form(n, _image(n, procs, translate, perm))
-        assert form == form_img, (
-            f"n={n} procs={procs} ^{translate} perm={perm}: "
-            f"{form} != {form_img}"
-        )
-
-    @given(_orbit_case())
-    @settings(max_examples=60, deadline=None)
-    def test_transform_maps_faults_onto_canonical_form(self, case):
-        n, procs, _, _ = case
-        form, tf = canonical_form(n, procs)
-        assert tuple(sorted(tf.apply(p) for p in procs)) == form
-        assert tuple(sorted(tf.invert(c) for c in form)) == procs
+def _image(procs, translate: int, perm) -> tuple[int, ...]:
+    """The fault set under ``u -> relabel(u ^ translate)``, where bit ``d``
+    moves to bit ``perm[d]``: an automorphism of the cube."""
+    return tuple(sorted(
+        sum((((p ^ translate) >> d) & 1) << target for d, target in enumerate(perm))
+        for p in procs))
 
 
 class TestReplayFidelity:
@@ -77,13 +57,12 @@ class TestReplayFidelity:
 
         PLAN_CACHE.configure(enabled=True)
         PLAN_CACHE.clear(reset_counters=True)
-        # Warm the canonical entry with a *different* orbit member, so the
-        # query below exercises the hit/replay path, not just a pass-through.
-        plan_with_cache(n, _image(n, procs, translate, perm))
-        part, sel = plan_with_cache(n, procs)
-
-        assert part == cold_part
-        assert sel == cold_sel
+        plan_with_cache(n, _image(procs, translate, perm))
+        # The first call stores the plan, the second is served from it.
+        for _ in range(2):
+            part, sel = plan_with_cache(n, procs)
+            assert part == cold_part
+            assert sel == cold_sel
 
     @given(_orbit_case())
     @settings(max_examples=12, deadline=None)
@@ -99,11 +78,49 @@ class TestReplayFidelity:
             cold = fault_tolerant_sort(keys, n, list(procs), kernels=kernels)
             PLAN_CACHE.configure(enabled=True)
             PLAN_CACHE.clear(reset_counters=True)
-            plan_with_cache(n, _image(n, procs, translate, perm))
+            plan_with_cache(n, _image(procs, translate, perm))
+            plan_with_cache(n, procs)
             warm = fault_tolerant_sort(keys, n, list(procs), kernels=kernels)
             assert warm.sorted_keys.tobytes() == cold.sorted_keys.tobytes()
             assert warm.elapsed == cold.elapsed
             assert warm.output_order == cold.output_order
+
+
+class TestExactKeys:
+    N = 5
+    FAULTS = (3, 12, 21)
+    IMAGE = tuple(sorted(p ^ 9 for p in FAULTS))  # same orbit, other addresses
+
+    @pytest.fixture
+    def planned(self, monkeypatch):
+        """Fault sets ``find_min_cuts`` is called on, after planning both."""
+        seen = []
+
+        def spy(n, procs):
+            seen.append(tuple(procs))
+            return find_min_cuts(n, procs)
+
+        monkeypatch.setattr(partition_mod, "find_min_cuts", spy)
+        PLAN_CACHE.configure(enabled=True)
+        PLAN_CACHE.clear(reset_counters=True)
+        for procs in (self.FAULTS, self.IMAGE):
+            plan_with_cache(self.N, procs)
+        return seen
+
+    def test_orbit_image_is_planned_under_its_own_key(self, planned):
+        stats = PLAN_CACHE.stats()
+        assert stats["misses"]["plan"] == 2
+        assert stats["misses"]["canon"] == 0
+        assert sum(1 for section, _ in PLAN_CACHE._store if section == "plan") == 2
+        assert planned == [self.FAULTS, self.IMAGE]
+
+    def test_exact_repeats_hit_without_planning(self, planned):
+        for procs in (self.FAULTS, self.IMAGE):
+            plan_with_cache(self.N, procs)
+        stats = PLAN_CACHE.stats()
+        assert stats["hits"]["plan"] == 2
+        assert stats["misses"]["plan"] == 2
+        assert planned == [self.FAULTS, self.IMAGE]
 
 
 @pytest.fixture(autouse=True)

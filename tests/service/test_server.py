@@ -122,15 +122,16 @@ class TestEndToEnd:
 
     def test_malformed_requests_get_answers(self):
         # A client must not be able to write into the shared plan cache:
-        # this entry is a valid but non-minimal 3-cut plan for the orbit
-        # of the Q5 faults {3, 12, 21}, whose minimum cut is 2.
+        # this entry, in the shape the removed ``orbit_push`` op took, is a
+        # valid but non-minimal 3-cut plan for the Q5 faults {3, 12, 21}
+        # (relabeled), whose minimum cut is 2.
         poison = {"n": 5, "canon": [0, 19, 28], "mincut": 3,
                   "psi": [[0, 1, 2]], "costs": [2]}
         job = {"kind": "sort", "n": 5, "faults": [3, 12, 21], "keys": 4096,
                "seed": 1}
         keys = np.random.default_rng(1).integers(0, 10**6, size=4096).astype(float)
         expected = fault_tolerant_sort(keys, 5, [3, 12, 21]).elapsed
-        # Leave no exact-key entry behind that would bypass the orbit entry.
+        # Start empty, so the victim's job plans its fault set itself.
         PLAN_CACHE.clear()
 
         async def main():
