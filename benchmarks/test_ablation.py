@@ -68,20 +68,20 @@ def test_ablation_probe_short_circuit(benchmark, rng, ncube7):
             return original(machine, jobs, kernels=kernels, probe=flag)
 
         bc.run_exchange_jobs = patched
-        # ftsort imported the symbol directly; patch there too.
-        import repro.core.ftsort as fts
+        # The program walker imported the symbol directly; patch there too.
+        import repro.core.single_fault as walker
 
-        saved = fts.run_exchange_jobs
-        fts.run_exchange_jobs = patched
+        saved = walker.run_exchange_jobs
+        walker.run_exchange_jobs = patched
         try:
-            # Only the per-pair interpreter calls run_exchange_jobs; the
+            # Only the program walker calls run_exchange_jobs; the
             # default compiled tier runs the schedule executor, which the
             # patch cannot reach, so both sorts run the loop spec.
             return fault_tolerant_sort(keys, 6, FAULTS_Q6, params=ncube7,
                                        kernels="loop").elapsed
         finally:
             bc.run_exchange_jobs = original
-            fts.run_exchange_jobs = saved
+            walker.run_exchange_jobs = saved
 
     with_probe = benchmark.pedantic(lambda: run_with_probe(True), rounds=1, iterations=1)
     without = run_with_probe(False)

@@ -17,12 +17,15 @@ Given ``Q_n`` with ``r <= n - 1`` faulty processors:
    ``mask = v_{i+1}`` keeps the smaller half), then every subcube re-sorts
    internally, ascending iff ``v_{j-1} == mask`` (``v_{-1} = 0``).
 
-Orientation bookkeeping (see :mod:`repro.sorting.bitonic_cube`): subcube
-``v``'s content layout direction alternates per the Step-8 rule, and the
-implementation asserts the paper's invariant that every Step-7 exchange
-happens between opposite-orientation subcubes — precisely the condition
-under which the equal-``w`` pairing realizes an exact supernode
-merge-split.
+The sort is oblivious: every partner, direction, keeper, merge and
+mirror follows from the plan ``(n, D_β, dead processors)``, never from the
+keys, so Steps 3-8 are one program built from the plan
+(:func:`repro.core.schedule.build_ft_program`, which also asserts the
+paper's orientation invariant: every Step-7 exchange pairs
+opposite-orientation subcubes).  The compiled backend executes it as
+whole-array operations; the ``loop`` spec, and any sort with a phase
+observer, walk it pair by pair
+(:func:`repro.core.single_fault.run_program_interpreted`).
 
 Communication cost honesty: corresponding reindexed processors are
 generally *not* physical neighbors — the detour equals the Hamming distance
@@ -39,27 +42,22 @@ from functools import partial
 
 import numpy as np
 
-from repro.core.blocks import pad_and_chunk, strip_padding
 from repro.core.partition import PartitionResult, find_min_cuts
 from repro.core.selection import SelectionResult, select_cut_sequence
+from repro.core.schedule import build_ft_program
 from repro.core.single_fault import (
     SingleFaultSortResult,
     fault_free_bitonic_sort,
-    local_sort_blocks,
+    run_program,
     single_fault_bitonic_sort,
 )
-from repro.cube.address import bit_of, validate_dimension
+from repro.cube.address import validate_dimension
 from repro.faults.linkplan import absorb_link_faults
 from repro.faults.model import FaultKind, FaultSet
 from repro.obs.spans import NULL_TRACER, PID_SIM, TID_ALGO
 from repro.simulator.params import MachineParams
 from repro.simulator.phases import PhaseMachine
 from repro.kernels import resolve_backend
-from repro.sorting.bitonic_cube import (
-    block_bitonic_merge_groups,
-    block_bitonic_sort_groups,
-    run_exchange_jobs,
-)
 
 __all__ = ["FtSortResult", "fault_tolerant_sort", "plan_partition"]
 
@@ -144,68 +142,7 @@ def _wrap_simple(res: SingleFaultSortResult, partition: PartitionResult | None) 
     )
 
 
-def _subcube_groups(
-    selection: SelectionResult,
-    dead_w: list[int],
-    ascending: list[bool],
-) -> list[tuple[list[int], frozenset[int], bool]]:
-    """Logical-cube groups for a lockstep intra-subcube sort.
-
-    For subcube ``v``, logical position ``l`` is the reindexed address
-    ``rho = l`` at physical address ``combine(v, rho XOR dead_w[v])``; the
-    dead processor always sits at logical 0 (the exact-skip position) and
-    an odd-direction subcube runs the direction-inverted network.  After
-    the sort, processor ``rho`` holds content-rank ``rho - 1`` (ascending
-    subcube) or ``P - 1 - rho`` (descending).
-    """
-    split = selection.split
-    p = 1 << selection.s
-    groups: list[tuple[list[int], frozenset[int], bool]] = []
-    for v in range(1 << selection.m):
-        addrs = [split.combine(v, l ^ dead_w[v]) for l in range(p)]
-        groups.append((addrs, frozenset({0}), not ascending[v]))
-    return groups
-
-
-def _mirror_subcubes(
-    machine: PhaseMachine,
-    selection: SelectionResult,
-    dead_w: list[int],
-    subcube_addrs: list[int],
-    label: str,
-) -> None:
-    """Reverse the block placement of each listed subcube, in one phase.
-
-    After a monotone merge, flipping a subcube's direction is a pure
-    relabeling: processor ``rho`` and processor ``P - rho`` swap whole
-    blocks (``rho = P/2`` keeps its block).  The swap pairs are disjoint,
-    so all of them — across all flipping subcubes — form one parallel
-    phase; each swap is a simultaneous full-duplex transfer over
-    ``HD(rho, P - rho)`` hops (the dead-``w`` reindex XOR cancels out of
-    the distance).
-    """
-    split = selection.split
-    p = 1 << selection.s
-    pairs = 0
-    with machine.phase(label):
-        for v in subcube_addrs:
-            for rho in range(1, p // 2):
-                peer = p - rho
-                pa = split.combine(v, rho ^ dead_w[v])
-                pb = split.combine(v, peer ^ dead_w[v])
-                block_a = machine.get_block(pa)
-                block_b = machine.get_block(pb)
-                machine.blocks[pa] = block_b
-                machine.blocks[pb] = block_a
-                machine.charge_swap(pa, pb, int(block_a.size))
-                pairs += 1
-    if pairs and machine.obs.enabled:
-        met = machine.obs.metrics
-        met.inc("sort.mirror.pairs", pairs)
-        met.inc("sort.messages", 2 * pairs)
-
-
-def _emit_compiled_ft_steps(
+def _emit_ft_steps(
     obs,
     machine: PhaseMachine,
     selection: SelectionResult,
@@ -214,99 +151,55 @@ def _emit_compiled_ft_steps(
     workers: int,
     block_size: int,
 ) -> None:
-    """Reconstruct the per-step obs spans from a compiled run's phase list.
+    """Record the per-step obs spans of a finished run from its phases.
 
-    The compiled executor emits phase-level spans itself; the algorithm-step
-    timeline (``step1`` .. ``step8``, ``step4`` stage groups, the ``ftsort``
-    root) is recovered here by walking the phase records in order — their
-    structure is fully determined by ``(m, s)``.  Start/end timestamps are
-    re-accumulated with the same float addition sequence the machine clock
-    used, so the spans match an interpreted run's exactly.
+    Each step is the run of consecutive phases its label prefix names:
+    Step 3b is every ``intra-init[..]`` phase, Step 7 of ``(i, j)`` the
+    ``inter[i=..,j=..]`` phase, and Step 8 every phase labelled
+    ``intra[i=..,j=..]…`` (merge and mirror, or the full-sort ablation's
+    substages).  Start and end times re-add the phase durations in the
+    order the machine clock did, so the spans match the clock exactly.
     """
     m, s = selection.m, selection.s
     phases = machine.phases
+    t, idx = 0.0, 0
 
     def step(name: str, ts: float, dur: float, **args) -> None:
         obs.complete(name, ts=ts, dur=dur, cat="step", pid=PID_SIM, tid=TID_ALGO,
                      args=args or None)
 
+    def through(prefix: str) -> float:
+        """Consume the phases labelled ``prefix…``; returns their start."""
+        nonlocal t, idx
+        start = t
+        while idx < len(phases) and phases[idx].label.startswith(prefix):
+            t += phases[idx].duration
+            idx += 1
+        return start
+
+    # Steps 1-2 are host-side planning/distribution: no simulated cost,
+    # recorded as zero-duration markers so the step report is complete.
     step("step1:partition+select", 0.0, 0.0,
          m=m, s=s, mincut=partition.mincut, cut_dims=list(selection.cut_dims))
     step("step2:distribute", 0.0, 0.0, workers=workers, block_size=block_size)
-    t = 0.0
-    idx = 0
-
-    def advance(count: int) -> float:
-        nonlocal t, idx
-        for _ in range(count):
-            t += phases[idx].duration
-            idx += 1
-        return t
-
-    t0 = t
-    advance(1)  # local-heapsort
+    t0 = through("local-heapsort")
     step("step3a:local-heapsort", t0, t - t0)
-    t0 = t
-    advance(s * (s + 1) // 2)  # intra-init substages
+    t0 = through("intra-init[")
     step("step3b:intra-init", t0, t - t0)
     for i in range(m):
         t_stage = t
         for j in range(i, -1, -1):
+            # Steps 5-6 pick partners and comparison directions — pure
+            # host-side bookkeeping with no simulated cost.
             step(f"step5:partner[i={i},j={j}]", t, 0.0)
             step(f"step6:direction[i={i},j={j}]", t, 0.0)
-            t7 = t
-            advance(1)  # inter[i,j]
-            step(f"step7:inter[i={i},j={j}]", t7, t - t7)
-            t8 = t
-            advance(s)  # intra[i,j]a merge pass
-            if idx < len(phases) and phases[idx].label == f"intra[i={i},j={j}]b":
-                advance(1)  # mirror fix-up
-            step(f"step8:intra[i={i},j={j}]", t8, t - t8)
+            t0 = through(f"inter[i={i},j={j}]")
+            step(f"step7:inter[i={i},j={j}]", t0, t - t0)
+            t0 = through(f"intra[i={i},j={j}]")
+            step(f"step8:intra[i={i},j={j}]", t0, t - t0)
         step(f"step4:stage[i={i}]", t_stage, t - t_stage)
     step("ftsort", 0.0, machine.elapsed,
          n=selection.n, r=len(selection.faults), keys=keys_count)
-
-
-def _compiled_ft_sort(
-    keys: np.ndarray | list,
-    fault_set: FaultSet,
-    params: MachineParams | None,
-    exact_counts: bool,
-    obs,
-    partition: PartitionResult,
-    selection: SelectionResult,
-) -> FtSortResult:
-    """The r >= 2 partition sort through the compiled flat-array tier."""
-    from repro.core.schedule import build_ft_program
-    from repro.kernels.compiled import run_schedule_compiled
-
-    sorted_keys, machine, block_size, program = run_schedule_compiled(
-        partial(build_ft_program, selection),
-        keys,
-        fault_set,
-        params=params,
-        obs=obs,
-        exact_counts=exact_counts,
-        cache_kind="ft",
-        cache_key=(selection.n, selection.cut_dims, selection.dead_of_subcube),
-    )
-    if obs.enabled:
-        obs.name_thread(TID_ALGO, "algorithm steps", pid=PID_SIM)
-        _emit_compiled_ft_steps(
-            obs, machine, selection, partition,
-            keys_count=int(np.asarray(keys).size),
-            workers=program.workers,
-            block_size=block_size,
-        )
-    return FtSortResult(
-        sorted_keys=sorted_keys,
-        elapsed=machine.elapsed,
-        output_order=program.output_order,
-        machine=machine,
-        partition=partition,
-        selection=selection,
-        block_size=block_size,
-    )
 
 
 def fault_tolerant_sort(
@@ -336,8 +229,11 @@ def fault_tolerant_sort(
         exact_counts: exact heapsort comparison counting for local sorts.
         observer: optional ``f(machine, phase_record)`` callback fired after
             every phase — used by the Figure-6 walkthrough example to print
-            intermediate block states.  A sort with an observer runs on
-            the per-pair interpreter, whatever ``kernels`` is.
+            intermediate block states.  A sort with an observer walks the
+            plan's program pair by pair
+            (:func:`~repro.core.single_fault.run_program_interpreted`),
+            whatever ``kernels`` is; outputs, clock and counters do not
+            change.
         obs: optional :class:`repro.obs.Tracer`.  When enabled, the sort
             records one simulated-time span per algorithm step (``step1``
             .. ``step8``, plus a root ``ftsort`` span) on the algorithm
@@ -349,11 +245,13 @@ def fault_tolerant_sort(
             direction the exchange's kept half makes bitonic, then — only
             for subcubes whose Step-8 target direction differs — a single
             block-mirror phase that reverses the placement; both steps are
-            provably correct (see the discussion below) and this is what
+            exact (the argument is beside the builder that realizes them,
+            :func:`repro.core.schedule.build_ft_program`) and this is what
             reconciles measured time with the paper's Figure 7.
             ``"full-sort"``: the literal ``s(s+1)/2``-substage bitonic
             sort the paper's worst-case ``T`` charges — same result,
-            slower for ``s > 3``; kept for the ablation benchmark.
+            slower for ``s > 3``; kept for the ablation benchmark.  Both
+            modes are programs, run by either route.
         kernels: kernel backend (or name, see :mod:`repro.kernels`) that
             executes the sorting/merging inner loops; ``None`` = process
             default.  Results and every cost/obs counter are
@@ -365,20 +263,6 @@ def fault_tolerant_sort(
 
     Dispatch: ``r = 0`` runs the plain bitonic sort, ``r = 1`` the
     Section-2.1 single-fault sort, ``r >= 2`` the full partition path.
-
-    Step-8 correctness argument (two-merge mode): after the Step-7
-    exchange, the subcube holding the smaller halves holds, per processor,
-    the pairwise minima of a bitonic (ascending-then-descending) virtual
-    sequence; its block multisets therefore form a "valley" of zero-counts
-    under any 0-1 threshold, which together with the dead node's ``-inf``
-    sentinel block at reindexed address 0 is cyclically bitonic — exactly
-    the precondition of an ascending skip-merge.  Symmetrically the larger
-    half with a ``+inf`` sentinel is the precondition of a descending
-    skip-merge.  The merge pass therefore sorts in the *side* direction;
-    if the Step-8 rule wants the other direction, the content is exactly
-    the mirror image of the target, so one parallel block-mirror phase
-    (processor ``rho`` swaps with ``P - rho``) finishes the job with no
-    comparisons at all.
     """
     validate_dimension(n)
     if step8 not in ("two-merge", "full-sort"):
@@ -418,166 +302,24 @@ def fault_tolerant_sort(
         return _wrap_simple(res, partition)
 
     partition, selection = plan_partition(n, fault_set, cut_dims=cut_dims)
-    if kernels.schedule_compiled and step8 == "two-merge" and observer is None:
-        # Compiled flat-array tier: execute the plan's cached program
-        # instead of interpreting per-pair.  The full-sort ablation and
-        # per-phase observers are not modeled by the program builder /
-        # executor; those fall through to the interpreter (which still uses
-        # this backend's vectorized kernels).
-        return _compiled_ft_sort(
-            keys, fault_set, params, exact_counts, obs, partition, selection
-        )
-    split = selection.split
-    m, s = selection.m, selection.s
-    p = 1 << s
-    flip = p - 1
-    dead_w = [split.w_of(dead) for dead in selection.dead_of_subcube]
-
-    machine = PhaseMachine(n, params=params, faults=fault_set, obs=obs)
-    machine.on_phase_end = observer
+    full_sort = step8 == "full-sort"
+    sorted_keys, machine, block_size, program = run_program(
+        partial(build_ft_program, selection, full_sort=full_sort),
+        keys, fault_set,
+        cache_kind="ft-full-sort" if full_sort else "ft",
+        cache_key=(selection.n, selection.cut_dims, selection.dead_of_subcube),
+        params=params, obs=obs, exact_counts=exact_counts, kernels=kernels,
+        observer=observer,
+    )
     if obs.enabled:
         obs.name_thread(TID_ALGO, "algorithm steps", pid=PID_SIM)
-
-    def _step(name: str, started_at: float, **args) -> None:
-        obs.complete(
-            name,
-            ts=started_at,
-            dur=machine.elapsed - started_at,
-            cat="step",
-            pid=PID_SIM,
-            tid=TID_ALGO,
-            args=args or None,
-        )
-
-    keys_arr = np.asarray(keys, dtype=float)
-    workers = selection.working_processors
-    chunks, block_size = pad_and_chunk(keys_arr, workers)
-    if obs.enabled:
-        # Steps 1-2 are host-side planning/distribution: no simulated cost,
-        # recorded as zero-duration markers so the step report is complete.
-        _step("step1:partition+select", machine.elapsed,
-              m=m, s=s, mincut=partition.mincut, cut_dims=list(selection.cut_dims))
-        _step("step2:distribute", machine.elapsed,
-              workers=workers, block_size=block_size)
-
-    # Steps 1-2: reindex and distribute.  Working processor order: subcube
-    # address major, reindexed local address (1..P-1) minor.
-    output_order: list[int] = []
-    assignments: dict[int, np.ndarray] = {}
-    chunk_iter = iter(chunks)
-    for v in range(1 << m):
-        for rho in range(1, p):
-            phys = split.combine(v, rho ^ dead_w[v])
-            output_order.append(phys)
-            assignments[phys] = next(chunk_iter)
-
-    # Step 3: local heapsort, then per-subcube bitonic sort; even subcube
-    # addresses ascending, odd descending.
-    t0 = machine.elapsed
-    local_sort_blocks(machine, assignments, exact_counts=exact_counts, kernels=kernels)
-    if obs.enabled:
-        _step("step3a:local-heapsort", t0)
-    ascending = [(v & 1) == 0 for v in range(1 << m)]
-    t0 = machine.elapsed
-    block_bitonic_sort_groups(
-        machine, _subcube_groups(selection, dead_w, ascending), label="intra-init",
-        kernels=kernels,
-    )
-    if obs.enabled:
-        _step("step3b:intra-init", t0)
-
-    # Steps 4-8: bitonic-like merge over the 2**m subcubes.
-    for i in range(m):
-        t_stage = machine.elapsed
-        for j in range(i, -1, -1):
-            if obs.enabled:
-                # Steps 5-6 pick partners and comparison directions — pure
-                # host-side bookkeeping with no simulated cost.
-                _step(f"step5:partner[i={i},j={j}]", machine.elapsed)
-                _step(f"step6:direction[i={i},j={j}]", machine.elapsed)
-            t7 = machine.elapsed
-            kept_min = [False] * (1 << m)  # which side each subcube took
-            with machine.phase(f"inter[i={i},j={j}]"):
-                jobs: list[tuple[int, int, bool, int | None]] = []
-                for v_low in range(1 << m):
-                    if (v_low >> j) & 1:
-                        continue
-                    v_high = v_low | (1 << j)
-                    mask = bit_of(v_low, i + 1) if i + 1 < m else 0
-                    # Paper Step 7(b): the subcube whose v_j equals mask
-                    # keeps the smaller elements; v_low has v_j = 0.
-                    low_keeps_min = mask == 0
-                    kept_min[v_low] = low_keeps_min
-                    kept_min[v_high] = not low_keeps_min
-                    if ascending[v_low] == ascending[v_high]:
-                        raise AssertionError(
-                            "orientation invariant violated: subcubes "
-                            f"{v_low}/{v_high} both "
-                            f"{'ascending' if ascending[v_low] else 'descending'}"
-                        )
-                    for rho in range(1, p):
-                        pa = split.combine(v_low, rho ^ dead_w[v_low])
-                        pb = split.combine(v_high, rho ^ dead_w[v_high])
-                        # hops=None: fault-aware metric (1 + HD of dead-w
-                        # under partial faults; detours under total).
-                        jobs.append((pa, pb, low_keeps_min, None))
-                run_exchange_jobs(machine, jobs, kernels=kernels)
-            if obs.enabled:
-                _step(f"step7:inter[i={i},j={j}]", t7)
-            t8 = machine.elapsed
-            # Step 8: re-sort every subcube; target direction ascending iff
-            # v_{j-1} == mask (v_{-1} = 0), which flips orientations into
-            # opposition for the next substage along dimension j-1.
-            for v in range(1 << m):
-                mask_v = bit_of(v, i + 1) if i + 1 < m else 0
-                prev_bit = bit_of(v, j - 1) if j >= 1 else 0
-                ascending[v] = prev_bit == mask_v
-            if step8 == "full-sort":
-                block_bitonic_sort_groups(
-                    machine,
-                    _subcube_groups(selection, dead_w, ascending),
-                    label=f"intra[i={i},j={j}]",
-                    kernels=kernels,
-                )
-            else:
-                # Merge pass — the direction the exchanged halves make
-                # bitonic: ascending on the min-keeping side, descending on
-                # the max-keeping side (see the docstring's argument).
-                side_dir = [kept_min[v] for v in range(1 << m)]
-                block_bitonic_merge_groups(
-                    machine,
-                    _subcube_groups(selection, dead_w, side_dir),
-                    label=f"intra[i={i},j={j}]a",
-                    kernels=kernels,
-                )
-                # Direction fix-up: subcubes whose Step-8 target direction
-                # differs from the merge direction hold exactly mirrored
-                # content; one parallel block-mirror phase relabels them.
-                flips = [v for v in range(1 << m) if side_dir[v] != ascending[v]]
-                if flips:
-                    _mirror_subcubes(
-                        machine, selection, dead_w, flips, label=f"intra[i={i},j={j}]b"
-                    )
-            if obs.enabled:
-                _step(f"step8:intra[i={i},j={j}]", t8)
-        if obs.enabled:
-            _step(f"step4:stage[i={i}]", t_stage)
-
-    if not all(ascending):
-        raise AssertionError("final orientation must be ascending everywhere")
-
-    if obs.enabled:
-        _step("ftsort", 0.0, n=n, r=r, keys=int(keys_arr.size))
-    gathered = (
-        np.concatenate([machine.get_block(a) for a in output_order])
-        if output_order
-        else np.empty(0)
-    )
-    sorted_keys = strip_padding(gathered, int(keys_arr.size))
+        _emit_ft_steps(obs, machine, selection, partition,
+                       keys_count=int(np.asarray(keys).size),
+                       workers=program.workers, block_size=block_size)
     return FtSortResult(
         sorted_keys=sorted_keys,
         elapsed=machine.elapsed,
-        output_order=tuple(output_order),
+        output_order=program.output_order,
         machine=machine,
         partition=partition,
         selection=selection,

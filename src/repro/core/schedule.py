@@ -2,44 +2,39 @@
 
 Every sort in this repository is *oblivious*: the sequence of
 compare-exchange partners, directions, and mirror swaps depends only on the
-machine configuration (dimension, fault plan) — never on key values.  That
-makes the whole execution expressible as a static :class:`SortSchedule`,
-which two independent backends execute:
+machine configuration (dimension, fault plan) — never on key values.  So
+the whole execution is fixed by the plan, and this module writes it down
+in two forms.
 
-* the phase-level engine (:func:`repro.core.ftsort.fault_tolerant_sort`
-  executes an equivalent structure directly), and
-* the message-passing SPMD machine (:mod:`repro.core.spmd_sort`), where
-  every exchange is realized as routed messages on the discrete-event
-  simulator.
+Programs — what the phase engine runs:
 
-Having one schedule produced by one builder and executed by both backends
-is how the test suite proves the fast phase engine faithfully represents
-the distributed execution.
+:func:`build_ft_program` and :func:`build_plain_program` return a
+:class:`CompiledSchedule`: per-substage index arrays over the rows of one
+``(workers, block)`` key matrix, built from the plan by index arithmetic
+in a few whole-array numpy operations per substage.  The phase engine runs
+one program two ways: :func:`repro.kernels.compiled.run_schedule_compiled`
+executes each substage as a handful of numpy operations (the default
+``compiled`` route), and
+:func:`repro.core.single_fault.run_program_interpreted` walks it pair by
+pair on a :class:`~repro.simulator.phases.PhaseMachine` (the ``loop`` spec,
+and any sort with a phase observer).  Both fetch the same cached program.
 
-Builders:
+Schedules — what the message-level engines run:
 
 * :func:`build_plain_schedule` — fault-free or single-fault full-cube
-  bitonic sort (paper Section 2.1).
+  bitonic sort (paper Section 2.1);
 * :func:`build_ft_schedule` — the full fault-tolerant algorithm for a
   resolved :class:`~repro.core.selection.SelectionResult` (Section 3,
-  steps 3-8, two-merge Step 8).
+  steps 3-8, two-merge or full-sort Step 8).
 
-Lowering:
-
-:func:`lower_schedule` compiles a schedule into a :class:`CompiledSchedule`
-— per-substage index arrays over a single ``(workers, block)`` key matrix —
-which :func:`repro.kernels.compiled.run_schedule_compiled` executes as a
-handful of numpy operations per substage (the ``--kernels compiled`` tier).
-
-Direct builders:
-
-:func:`build_ft_program` and :func:`build_plain_program` return the same
-:class:`CompiledSchedule` as ``lower_schedule(build_*_schedule(...))``
-without building a :class:`SortSchedule`: the sort is oblivious, so every
-substage's row pairs follow from the plan by index arithmetic and take a
-few whole-array numpy operations.  The compiled tier builds its programs
-this way; the object schedule stays the reference they are tested
-against, and what the SPMD engine and the host session execute.
+A :class:`SortSchedule` lists every pair as an object.  The SPMD machine
+(:mod:`repro.core.spmd_sort`) and the host session execute it, every
+exchange realized as routed messages on the discrete-event simulator, and
+it is the reference the program builders are tested against:
+:func:`lower_schedule` turns it into the same :class:`CompiledSchedule`,
+array for array.  One network executed by both engines is how the test
+suite proves the fast phase engine faithfully represents the distributed
+execution.
 """
 
 from __future__ import annotations
@@ -231,14 +226,16 @@ def build_plain_schedule(n: int, faulty: int | None = None) -> SortSchedule:
     return SortSchedule(n=n, output_order=output_order, substages=tuple(substages))
 
 
-def build_ft_schedule(selection: SelectionResult) -> SortSchedule:
+def build_ft_schedule(selection: SelectionResult, full_sort: bool = False) -> SortSchedule:
     """The fault-tolerant sort (steps 3-8) as a static schedule.
 
-    Mirrors :func:`repro.core.ftsort.fault_tolerant_sort` in its default
-    two-merge mode: initial per-subcube full bitonic sorts (alternating by
-    subcube parity), then for every inter-subcube substage one
-    compare-exchange step, one side-direction merge pass, and — where the
-    Step-8 target direction flips — one mirror step.
+    Initial per-subcube full bitonic sorts (alternating by subcube
+    parity), then for every inter-subcube substage one compare-exchange
+    step and the Step-8 re-sort: one side-direction merge pass and, where
+    the target direction flips, one mirror step (see
+    :func:`build_ft_program` for why that sorts), or with ``full_sort``
+    a full bitonic sort of every subcube in its target direction.  This is
+    the reference :func:`build_ft_program` is tested against.
     """
     split = selection.split
     m, s = selection.m, selection.s
@@ -253,35 +250,24 @@ def build_ft_schedule(selection: SelectionResult) -> SortSchedule:
 
     substages: list[Substage] = []
 
-    def add_intra_sort(ascending: list[bool], label: str) -> None:
-        for i in range(s):
+    def add_intra(directions: list[bool], label: str, merge: bool = False) -> None:
+        # A merge pass is the bitonic sort's last stage alone.
+        for i in [s - 1] if merge else range(s):
             for j in range(i, -1, -1):
                 entries: list[tuple[int, int, bool]] = []
                 for v in range(num_subcubes):
                     for low, high, keep_min in substage_pairs(
-                        s, i, j, descending=not ascending[v]
+                        s, i, j, descending=not directions[v]
                     ):
                         if low == 0 or high == 0:
                             continue  # dead processor at reindexed 0
                         entries.append((phys(v, low), phys(v, high), keep_min))
-                substages.append(_cx_substage(f"{label}[i={i},j={j}]", entries))
-
-    def add_intra_merge(directions: list[bool], label: str) -> None:
-        i = s - 1
-        for j in range(i, -1, -1):
-            entries = []
-            for v in range(num_subcubes):
-                for low, high, keep_min in substage_pairs(
-                    s, i, j, descending=not directions[v]
-                ):
-                    if low == 0 or high == 0:
-                        continue
-                    entries.append((phys(v, low), phys(v, high), keep_min))
-            substages.append(_cx_substage(f"{label}[j={j}]", entries))
+                name = f"{label}[j={j}]" if merge else f"{label}[i={i},j={j}]"
+                substages.append(_cx_substage(name, entries))
 
     # Step 3: initial per-subcube sorts, ascending iff subcube address even.
     ascending = [(v & 1) == 0 for v in range(num_subcubes)]
-    add_intra_sort(ascending, "intra-init")
+    add_intra(ascending, "intra-init")
 
     # Steps 4-8.
     for i in range(m):
@@ -292,6 +278,11 @@ def build_ft_schedule(selection: SelectionResult) -> SortSchedule:
                 if (v_low >> j) & 1:
                     continue
                 v_high = v_low | (1 << j)
+                if ascending[v_low] == ascending[v_high]:
+                    raise AssertionError(
+                        f"orientation invariant violated: subcubes {v_low}/{v_high} "
+                        f"both {'ascending' if ascending[v_low] else 'descending'}"
+                    )
                 mask = bit_of(v_low, i + 1) if i + 1 < m else 0
                 low_keeps_min = mask == 0
                 kept_min[v_low] = low_keeps_min
@@ -311,9 +302,11 @@ def build_ft_schedule(selection: SelectionResult) -> SortSchedule:
                 mask_v = bit_of(v, i + 1) if i + 1 < m else 0
                 prev_bit = bit_of(v, j - 1) if j >= 1 else 0
                 ascending[v] = prev_bit == mask_v
-            side_dir = list(kept_min)
-            add_intra_merge(side_dir, f"intra[i={i},j={j}]a")
-            flips = [v for v in range(num_subcubes) if side_dir[v] != ascending[v]]
+            if full_sort:
+                add_intra(ascending, f"intra[i={i},j={j}]")
+                continue
+            add_intra(kept_min, f"intra[i={i},j={j}]a", merge=True)
+            flips = [v for v in range(num_subcubes) if kept_min[v] != ascending[v]]
             if flips:
                 swaps = []
                 for v in flips:
@@ -327,6 +320,8 @@ def build_ft_schedule(selection: SelectionResult) -> SortSchedule:
                         uniform_hops=None,
                     )
                 )
+    if not all(ascending):
+        raise AssertionError("final orientation must be ascending everywhere")
 
     output_order = tuple(
         phys(v, rho) for v in range(num_subcubes) for rho in range(1, p)
@@ -537,9 +532,11 @@ def build_plain_program(n: int, faulty: int | None = None) -> CompiledSchedule:
     return CompiledSchedule(n=n, output_order=output_order, substages=tuple(substages))
 
 
-def build_ft_program(selection: SelectionResult, hops_of=None) -> CompiledSchedule:
-    """``lower_schedule(build_ft_schedule(selection), hops_of)``, built
-    directly from the plan.
+def build_ft_program(
+    selection: SelectionResult, hops_of=None, full_sort: bool = False
+) -> CompiledSchedule:
+    """``lower_schedule(build_ft_schedule(selection, full_sort), hops_of)``,
+    built directly from the plan.
 
     Subcube ``v``'s reindexed processor ``rho`` (``1 <= rho < P``) is row
     ``v * (P - 1) + rho - 1`` — the order of ``output_order`` — and
@@ -548,6 +545,31 @@ def build_ft_program(selection: SelectionResult, hops_of=None) -> CompiledSchedu
     for the hop counts of inter-subcube and mirror substages.
     ``hops_of`` is the routing metric of :func:`lower_schedule`; ``None``
     means the Hamming distance, computed for whole substages at once.
+
+    Step 8 re-sorts every subcube in its target direction (ascending iff
+    ``v_{j-1} == mask``).  ``full_sort`` runs the literal
+    ``s(s+1)/2``-substage bitonic sort the paper's worst-case ``T``
+    charges.  The default runs two steps instead, both exact:
+
+    * after the Step-7 exchange, the subcube holding the smaller halves
+      holds, per processor, the pairwise minima of a bitonic
+      (ascending-then-descending) virtual sequence; its block multisets
+      therefore form a "valley" of zero-counts under any 0-1 threshold,
+      which together with the dead node's ``-inf`` sentinel block at
+      reindexed address 0 is cyclically bitonic — exactly the
+      precondition of an ascending skip-merge.  Symmetrically the larger
+      half with a ``+inf`` sentinel is the precondition of a descending
+      skip-merge.  So one bitonic merge pass sorts each subcube in its
+      *side* direction (substages ``intra[i,j]a[j=..]``);
+    * where the target direction is the other one, the content is exactly
+      the mirror image of the target, so one parallel block-mirror phase
+      (processor ``rho`` swaps with ``P - rho``, ``intra[i,j]b``) finishes
+      the job with no comparisons at all.
+
+    Both builders raise ``AssertionError`` unless every Step-7 exchange
+    pairs opposite-orientation subcubes — precisely the condition under
+    which the equal-``rho`` pairing realizes an exact supernode
+    merge-split — and every subcube ends ascending.
     """
     m, s = selection.m, selection.s
     if s < 1:
@@ -565,12 +587,15 @@ def build_ft_program(selection: SelectionResult, hops_of=None) -> CompiledSchedu
     no_bit = np.zeros(vs.size, dtype=np.int64)
     substages = []
 
+    def intra_sort(label: str, ascending: np.ndarray) -> None:
+        for i in range(s):
+            for j in range(i, -1, -1):
+                a, b = _bitonic_rows(s, i, j, ~ascending, dead0=True)
+                substages.append(_neighbor_substage(f"{label}[i={i},j={j}]", a, b))
+
     # Step 3: per-subcube sorts, ascending iff the subcube address is even.
     ascending = (vs & 1) == 0
-    for i in range(s):
-        for j in range(i, -1, -1):
-            a, b = _bitonic_rows(s, i, j, ~ascending, dead0=True)
-            substages.append(_neighbor_substage(f"intra-init[i={i},j={j}]", a, b))
+    intra_sort("intra-init", ascending)
 
     # Steps 4-8.
     half = np.arange(1, p // 2)
@@ -582,6 +607,13 @@ def build_ft_program(selection: SelectionResult, hops_of=None) -> CompiledSchedu
             kept_min = bit_j == mask
             v_low = vs[bit_j == 0]
             v_high = v_low | (1 << j)
+            same = ascending[v_low] == ascending[v_high]
+            if same.any():
+                v = int(v_low[same][0])
+                raise AssertionError(
+                    f"orientation invariant violated: subcubes {v}/{v | (1 << j)} "
+                    f"both {'ascending' if ascending[v] else 'descending'}"
+                )
             keep = kept_min[v_low][:, None]
             low_rows, high_rows = rows[v_low, 1:], rows[v_high, 1:]
             substages.append(_routed_substage(
@@ -590,10 +622,12 @@ def build_ft_program(selection: SelectionResult, hops_of=None) -> CompiledSchedu
                 np.where(keep, high_rows, low_rows).ravel(),
                 phys[v_low, 1:].ravel(), phys[v_high, 1:].ravel(), hops_of,
             ))
-            # Step 8: one merge pass in the side direction, then a mirror
-            # of every subcube whose target direction differs from it.
+            # Step 8 (see above).
             prev_bit = (vs >> (j - 1)) & 1 if j >= 1 else no_bit
             ascending = prev_bit == mask
+            if full_sort:
+                intra_sort(f"intra[i={i},j={j}]", ascending)
+                continue
             for jj in range(s - 1, -1, -1):
                 a, b = _bitonic_rows(s, s - 1, jj, ~kept_min, dead0=True)
                 substages.append(
@@ -608,6 +642,8 @@ def build_ft_program(selection: SelectionResult, hops_of=None) -> CompiledSchedu
                     phys[flips[:, None], p - half].ravel(),
                     hops_of,
                 ))
+    if not ascending.all():
+        raise AssertionError("final orientation must be ascending everywhere")
 
     output_order = tuple(phys[:, 1:].ravel().tolist())
     return CompiledSchedule(n=n, output_order=output_order, substages=tuple(substages))

@@ -12,6 +12,12 @@ so the communication pattern is unchanged and the result lands sorted in
 :func:`fault_free_bitonic_sort` is the ``r = 0`` special case (the plain
 parallel bitonic sort, also used by the maximal fault-free subcube
 baseline).
+
+Both run the plan's program (:func:`repro.core.schedule.build_plain_program`),
+as :func:`repro.core.ftsort.fault_tolerant_sort` runs its ``r >= 2``
+programs, through one route choice, :func:`run_program`: the compiled
+executor, or :func:`run_program_interpreted`, which walks the same program
+pair by pair.
 """
 
 from __future__ import annotations
@@ -21,16 +27,24 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.blocks import pad_and_chunk, strip_padding
+from repro.core.schedule import build_plain_program
 from repro.cube.address import validate_address, validate_dimension
 from repro.faults.model import FaultSet
 from repro.kernels import resolve_backend
+from repro.kernels.compiled import program_machine
 from repro.obs.spans import NULL_TRACER, PID_SIM, TID_ALGO
 from repro.simulator.params import MachineParams
 from repro.simulator.phases import PhaseMachine
-from repro.sorting.bitonic_cube import block_bitonic_sort
+from repro.sorting.bitonic_cube import run_exchange_jobs
 from repro.sorting.heapsort import heapsort_comparisons_worst_case
 
-__all__ = ["SingleFaultSortResult", "single_fault_bitonic_sort", "fault_free_bitonic_sort"]
+__all__ = [
+    "SingleFaultSortResult",
+    "fault_free_bitonic_sort",
+    "run_program",
+    "run_program_interpreted",
+    "single_fault_bitonic_sort",
+]
 
 
 @dataclass(frozen=True)
@@ -95,51 +109,83 @@ def local_sort_blocks(
                 machine.charge_compute(addr, int(counts[t]))
 
 
-def _run_cube_sort_compiled(
-    keys: np.ndarray | list,
-    n: int,
-    faulty: int | None,
-    params: MachineParams | None,
-    exact_counts: bool,
-    obs,
-) -> SingleFaultSortResult:
-    """The r <= 1 cube sort through the compiled flat-array tier.
+def run_program_interpreted(
+    build_program,
+    keys,
+    faults: FaultSet,
+    cache_kind: str,
+    cache_key: tuple,
+    params: MachineParams | None = None,
+    obs=None,
+    exact_counts: bool = False,
+    kernels=None,
+    observer=None,
+):
+    """Run the plan's compiled program pair by pair on a phase machine.
 
-    Same result object, phase records, clock, and obs counters as the
-    interpreted path — just executed from the cached plain program (see
-    :mod:`repro.kernels.compiled`).
+    The executable spec of what
+    :func:`repro.kernels.compiled.run_schedule_compiled` does with the same
+    arguments and the same cached program: Step 3's local sorts through
+    :func:`local_sort_blocks`, then one machine phase per substage, whose
+    ``cx`` pairs go to :func:`run_exchange_jobs` with the min-keeper first
+    and whose ``mirror`` pairs swap whole blocks, each pair charged over
+    the program's hops.  The min-keeper takes the ceiling half of every
+    exchange; each node is in one pair per phase and a phase lasts as long
+    as its slowest node, so which endpoint takes it cannot move a clock or
+    a counter.
+
+    ``kernels`` executes the block kernels (``None`` = process default);
+    ``observer`` is called as ``observer(machine, record)`` after every
+    phase.  Returns what :func:`run_schedule_compiled` returns:
+    ``(sorted_keys, machine, block_size, program)``.
     """
-    from repro.core.schedule import build_plain_program
-    from repro.kernels.compiled import run_schedule_compiled
+    machine, program = program_machine(build_program, faults, cache_kind, cache_key,
+                                       params=params, obs=obs)
+    machine.on_phase_end = observer
+    order = program.output_order
+    keys_arr = np.asarray(keys, dtype=float)
+    chunks, block_size = pad_and_chunk(keys_arr, program.workers)
+    local_sort_blocks(machine, dict(zip(order, chunks)), exact_counts=exact_counts,
+                      kernels=kernels)
+    for sub in program.substages:
+        pairs = [(order[a], order[b], h) for a, b, h in
+                 zip(sub.a_rows.tolist(), sub.b_rows.tolist(), sub.hops.tolist())]
+        with machine.phase(sub.label):
+            if sub.kind == "cx":
+                run_exchange_jobs(machine, [(a, b, True, h) for a, b, h in pairs],
+                                  kernels=kernels)
+            else:
+                for a, b, h in pairs:
+                    block_a, block_b = machine.get_block(a), machine.get_block(b)
+                    machine.blocks[a], machine.blocks[b] = block_b, block_a
+                    machine.charge_swap(a, b, int(block_a.size), hops=h)
+        if sub.kind == "mirror" and pairs and machine.obs.enabled:
+            met = machine.obs.metrics
+            met.inc("sort.mirror.pairs", len(pairs))
+            met.inc("sort.messages", 2 * len(pairs))
+    gathered = np.concatenate([machine.get_block(a) for a in order]) if order else np.empty(0)
+    return strip_padding(gathered, int(keys_arr.size)), machine, block_size, program
 
-    fault_set = FaultSet(n, () if faulty is None else (faulty,))
-    sorted_keys, machine, block_size, program = run_schedule_compiled(
-        lambda hops_of: build_plain_program(n, faulty),
-        keys,
-        fault_set,
-        params=params,
-        obs=obs,
-        exact_counts=exact_counts,
-        cache_kind="plain",
-        cache_key=(n, faulty),
-    )
-    if obs.enabled:
-        obs.name_thread(TID_ALGO, "algorithm steps", pid=PID_SIM)
-        t_local = machine.phases[0].duration if machine.phases else 0.0
-        obs.complete("step3a:local-heapsort", ts=0.0, dur=t_local,
-                     cat="step", pid=PID_SIM, tid=TID_ALGO)
-        obs.complete("step3b:bitonic", ts=t_local, dur=machine.elapsed - t_local,
-                     cat="step", pid=PID_SIM, tid=TID_ALGO)
-        obs.complete("ftsort", ts=0.0, dur=machine.elapsed, cat="step",
-                     pid=PID_SIM, tid=TID_ALGO,
-                     args={"n": n, "r": fault_set.r, "keys": int(np.asarray(keys).size)})
-    return SingleFaultSortResult(
-        sorted_keys=sorted_keys,
-        elapsed=machine.elapsed,
-        output_order=program.output_order,
-        machine=machine,
-        block_size=block_size,
-    )
+
+def run_program(build_program, keys, faults: FaultSet, cache_kind: str, cache_key: tuple,
+                params, obs, exact_counts: bool, kernels, observer):
+    """The phase engine's one route choice: the compiled backend without a
+    phase observer runs the program on the schedule executor, everything
+    else walks it pair by pair (:func:`run_program_interpreted`).
+    ``kernels`` is a resolved backend.  Both routes return
+    ``(sorted_keys, machine, block_size, program)``.
+    """
+    if kernels.schedule_compiled and observer is None:
+        # Looked up at call time: benchmarks/e2e/layers.py times the
+        # executor by wrapping this module attribute.
+        from repro.kernels.compiled import run_schedule_compiled
+
+        return run_schedule_compiled(build_program, keys, faults, cache_kind=cache_kind,
+                                     cache_key=cache_key, params=params, obs=obs,
+                                     exact_counts=exact_counts)
+    return run_program_interpreted(build_program, keys, faults, cache_kind, cache_key,
+                                   params=params, obs=obs, exact_counts=exact_counts,
+                                   kernels=kernels, observer=observer)
 
 
 def _run_cube_sort(
@@ -154,53 +200,26 @@ def _run_cube_sort(
 ) -> SingleFaultSortResult:
     validate_dimension(n)
     obs = obs if obs is not None else NULL_TRACER
-    kern = resolve_backend(kernels)
-    if kern.schedule_compiled and observer is None:
-        # The compiled executor does not model per-phase observers; with
-        # one, the sort runs on the interpreter (with this backend's
-        # vectorized kernels), as fault_tolerant_sort does for r >= 2.
-        return _run_cube_sort_compiled(keys, n, faulty, params, exact_counts, obs)
-    size = 1 << n
     fault_set = FaultSet(n, () if faulty is None else (faulty,))
-    machine = PhaseMachine(n, params=params, faults=fault_set, obs=obs)
-    machine.on_phase_end = observer
-    mask = 0 if faulty is None else faulty
-    # Logical position l lives on physical node l XOR mask; the fault sits
-    # at logical 0 and is skipped.
-    addr_of_logical = [l ^ mask for l in range(size)]
-    dead_logical = frozenset() if faulty is None else frozenset({0})
-    workers = size - (0 if faulty is None else 1)
-    keys_arr = np.asarray(keys, dtype=float)
-    chunks, block_size = pad_and_chunk(keys_arr, workers)
-    assignments: dict[int, np.ndarray] = {}
-    chunk_iter = iter(chunks)
-    for l in range(size):
-        if l in dead_logical:
-            continue
-        assignments[addr_of_logical[l]] = next(chunk_iter)
-    obs = obs if obs is not None else NULL_TRACER
+    sorted_keys, machine, block_size, program = run_program(
+        lambda hops_of: build_plain_program(n, faulty), keys, fault_set,
+        cache_kind="plain", cache_key=(n, faulty), params=params, obs=obs,
+        exact_counts=exact_counts, kernels=resolve_backend(kernels), observer=observer,
+    )
     if obs.enabled:
         obs.name_thread(TID_ALGO, "algorithm steps", pid=PID_SIM)
-    t0 = machine.elapsed
-    local_sort_blocks(machine, assignments, exact_counts=exact_counts, kernels=kernels)
-    if obs.enabled:
-        obs.complete("step3a:local-heapsort", ts=t0, dur=machine.elapsed - t0,
+        t_local = machine.phases[0].duration
+        obs.complete("step3a:local-heapsort", ts=0.0, dur=t_local,
                      cat="step", pid=PID_SIM, tid=TID_ALGO)
-    t0 = machine.elapsed
-    block_bitonic_sort(machine, addr_of_logical, dead_logical=dead_logical, kernels=kernels)
-    if obs.enabled:
-        obs.complete("step3b:bitonic", ts=t0, dur=machine.elapsed - t0,
+        obs.complete("step3b:bitonic", ts=t_local, dur=machine.elapsed - t_local,
                      cat="step", pid=PID_SIM, tid=TID_ALGO)
         obs.complete("ftsort", ts=0.0, dur=machine.elapsed, cat="step",
                      pid=PID_SIM, tid=TID_ALGO,
                      args={"n": n, "r": fault_set.r, "keys": int(np.asarray(keys).size)})
-    output_order = tuple(addr_of_logical[l] for l in range(size) if l not in dead_logical)
-    gathered = np.concatenate([machine.get_block(a) for a in output_order]) if workers else np.empty(0)
-    sorted_keys = strip_padding(gathered, int(keys_arr.size))
     return SingleFaultSortResult(
         sorted_keys=sorted_keys,
         elapsed=machine.elapsed,
-        output_order=output_order,
+        output_order=program.output_order,
         machine=machine,
         block_size=block_size,
     )
@@ -227,7 +246,8 @@ def single_fault_bitonic_sort(
             sorts instead of the paper's worst-case formula.
         kernels: kernel backend (or name); ``None`` = process default.
         observer: optional ``f(machine, phase_record)`` callback fired
-            after every phase; a sort with one runs on the interpreter.
+            after every phase; a sort with one walks its program pair by
+            pair (:func:`run_program_interpreted`).
 
     Returns:
         :class:`SingleFaultSortResult`; ``output_order`` starts at the

@@ -15,10 +15,11 @@ protocol of Section 2.1/Step 7 at the message level:
 
 Link contention, store-and-forward hops, fault-aware routing (VERTEX-style
 pass-through for partial faults, adaptive detours for total faults) all
-come from the event engine — nothing is abstracted.  The test suite runs
-the same :class:`~repro.core.schedule.SortSchedule` through this backend
-and through the phase engine and demands identical sorted output, which is
-the cross-validation DESIGN.md promises.
+come from the event engine — nothing is abstracted.  This backend runs
+the plan's :class:`~repro.core.schedule.SortSchedule`; the phase engine
+runs the program that schedule lowers to, array for array.  The test
+suite runs one plan through both and demands identical sorted output,
+which is the cross-validation DESIGN.md promises.
 
 ``--kernels compiled`` has no whole-schedule fast path here: the SPMD
 engine's point is per-processor message fidelity, which a flattened
@@ -146,6 +147,22 @@ def _cx_program_step(proc: Proc, block: np.ndarray, partner: int, i_am_low: bool
     return merged
 
 
+def _rank_ops(schedule: SortSchedule) -> dict[int, list[tuple[int, tuple]]]:
+    """Each working rank's part of ``schedule``: ``(substage index, op)``
+    in execution order, where ``op`` is ``("cx", partner, i_am_low,
+    keep_min)`` or ``("mirror", partner)``."""
+    plan: dict[int, list[tuple[int, tuple]]] = {rank: [] for rank in schedule.output_order}
+    for idx, substage in enumerate(schedule.substages):
+        for pair in substage.pairs:
+            if substage.kind == "cx":
+                plan[pair.low].append((idx, ("cx", pair.high, True, pair.keep_min)))
+                plan[pair.high].append((idx, ("cx", pair.low, False, pair.keep_min)))
+            else:
+                plan[pair.low].append((idx, ("mirror", pair.high)))
+                plan[pair.high].append((idx, ("mirror", pair.low)))
+    return plan
+
+
 def _make_program(schedule: SortSchedule, blocks: dict[int, np.ndarray], kernels=None):
     """Build the per-rank SPMD program executing ``schedule``.
 
@@ -165,15 +182,7 @@ def _make_program(schedule: SortSchedule, blocks: dict[int, np.ndarray], kernels
         for t, rank in enumerate(live_ranks):
             local[rank] = (rows[t], int(comps[t]))
 
-    plan: dict[int, list[tuple[int, object]]] = {rank: [] for rank in blocks}
-    for idx, substage in enumerate(schedule.substages):
-        for pair in substage.pairs:
-            if substage.kind == "cx":
-                plan[pair.low].append((idx, ("cx", pair.high, True, pair.keep_min)))
-                plan[pair.high].append((idx, ("cx", pair.low, False, pair.keep_min)))
-            else:
-                plan[pair.low].append((idx, ("mirror", pair.high)))
-                plan[pair.high].append((idx, ("mirror", pair.low)))
+    plan = _rank_ops(schedule)
 
     def program(proc: Proc):
         block = blocks[proc.rank]
@@ -243,6 +252,32 @@ def run_schedule_spmd(
     )
 
 
+def _schedule_for(n: int, fault_set: FaultSet) -> tuple[FaultSet, SortSchedule]:
+    """Absorb link faults and fetch the cached comparator schedule.
+
+    Returns the effective fault set (links folded into designated dead
+    endpoints for planning; routing still sees the true link failures) and
+    the schedule, dispatched like the phase engine: the plain bitonic
+    sort for ``r = 0``, the single-fault sort for ``r = 1`` and the
+    partitioned algorithm otherwise.  Shared by
+    :func:`spmd_fault_tolerant_sort` and the host session, so re-planning
+    after a detection reproduces exactly what the next attempt will run.
+    """
+    if fault_set.links:
+        fault_set = absorb_link_faults(fault_set)
+    if not fault_set.satisfies_paper_model():
+        raise ValueError(f"{fault_set.r} faults on Q_{n} violate the paper's model")
+    r = fault_set.r
+    if r == 0:
+        schedule = cached_plain_schedule(n, None)
+    elif r == 1:
+        schedule = cached_plain_schedule(n, fault_set.processors[0])
+    else:
+        _, selection = plan_partition(n, fault_set)
+        schedule = cached_ft_schedule(selection)
+    return fault_set, schedule
+
+
 def spmd_fault_tolerant_sort(
     keys: np.ndarray | list,
     n: int,
@@ -266,17 +301,6 @@ def spmd_fault_tolerant_sort(
         fault_set = FaultSet(n, faults, kind=fault_kind)
     if fault_set.n != n:
         raise ValueError(f"fault set is for Q_{fault_set.n}, expected Q_{n}")
-    if fault_set.links:
-        fault_set = absorb_link_faults(fault_set)
-    if not fault_set.satisfies_paper_model():
-        raise ValueError(f"{fault_set.r} faults on Q_{n} violate the paper's model")
-    r = fault_set.r
-    if r == 0:
-        schedule = cached_plain_schedule(n, None)
-    elif r == 1:
-        schedule = cached_plain_schedule(n, fault_set.processors[0])
-    else:
-        _, selection = plan_partition(n, fault_set)
-        schedule = cached_ft_schedule(selection)
+    fault_set, schedule = _schedule_for(n, fault_set)
     return run_schedule_spmd(schedule, keys, fault_set, params=params, obs=obs,
                              kernels=kernels)

@@ -27,13 +27,11 @@ import numpy as np
 
 from repro.comm.ftcollect import fault_free_bfs_tree, tree_gather, tree_scatter
 from repro.core.blocks import pad_and_chunk, strip_padding
-from repro.core.ftsort import fault_tolerant_sort, plan_partition
+from repro.core.ftsort import fault_tolerant_sort
 from repro.core.schedule import SortSchedule
-from repro.core.spmd_sort import _cx_program_step
-from repro.plancache.cache import cached_ft_schedule, cached_plain_schedule
+from repro.core.spmd_sort import _cx_program_step, _rank_ops, _schedule_for
 from repro.cube.address import hamming_distance, validate_address, validate_dimension
 from repro.faults.detect import DetectionRecord, OnlineDiagnoser
-from repro.faults.linkplan import absorb_link_faults
 from repro.faults.model import FaultKind, FaultSet
 from repro.obs.spans import PID_SIM, TID_ALGO
 from repro.simulator.params import MachineParams
@@ -78,30 +76,6 @@ class HostSession:
     schedule: SortSchedule
 
 
-def _session_schedule(n: int, fault_set: FaultSet) -> tuple[FaultSet, SortSchedule]:
-    """Absorb link faults and plan the comparator schedule for a session.
-
-    Returns the effective fault set (links folded into designated dead
-    endpoints for planning; routing still sees the true link failures) and
-    the schedule.  Shared by :func:`sort_session` and the supervisor, so
-    re-planning after a detection reproduces exactly what the next attempt
-    will run.
-    """
-    if fault_set.links:
-        fault_set = absorb_link_faults(fault_set)
-    if not fault_set.satisfies_paper_model():
-        raise ValueError(f"{fault_set.r} faults on Q_{n} violate the paper's model")
-    r = fault_set.r
-    if r == 0:
-        schedule = cached_plain_schedule(n, None)
-    elif r == 1:
-        schedule = cached_plain_schedule(n, fault_set.processors[0])
-    else:
-        _, selection = plan_partition(n, fault_set)
-        schedule = cached_ft_schedule(selection)
-    return fault_set, schedule
-
-
 def sort_session(
     keys: np.ndarray | list,
     n: int,
@@ -138,7 +112,7 @@ def sort_session(
     fault_set = faults if isinstance(faults, FaultSet) else FaultSet(n, faults, kind=fault_kind)
     if fault_set.n != n:
         raise ValueError(f"fault set is for Q_{fault_set.n}, expected Q_{n}")
-    fault_set, schedule = _session_schedule(n, fault_set)
+    fault_set, schedule = _schedule_for(n, fault_set)
 
     if host is None:
         host = min(schedule.output_order)
@@ -150,16 +124,7 @@ def sort_session(
     chunks, block_size = pad_and_chunk(keys_arr, schedule.workers)
     chunk_of = {rank: chunk for rank, chunk in zip(schedule.output_order, chunks)}
 
-    # Per-rank comparator plan, exactly as in spmd_sort.
-    plan: dict[int, list[tuple[int, object]]] = {rank: [] for rank in schedule.output_order}
-    for idx, substage in enumerate(schedule.substages):
-        for pair in substage.pairs:
-            if substage.kind == "cx":
-                plan[pair.low].append((idx, ("cx", pair.high, True, pair.keep_min)))
-                plan[pair.high].append((idx, ("cx", pair.low, False, pair.keep_min)))
-            else:
-                plan[pair.low].append((idx, ("mirror", pair.high)))
-                plan[pair.high].append((idx, ("mirror", pair.low)))
+    plan = _rank_ops(schedule)
 
     checkpoints: dict[int, tuple[float, float]] = {}
     gathered_holder: dict[str, dict[int, np.ndarray] | None] = {"blocks": None}
@@ -639,7 +604,7 @@ def supervised_sort(
             continue
 
         # -- spmd backend ----------------------------------------------------
-        _, schedule = _session_schedule(n, view)
+        _, schedule = _schedule_for(n, view)
         block_size = pad_and_chunk(keys_arr, schedule.workers)[1] if schedule.workers else 0
         redistribution = 0.0
         if prev_holders is not None:

@@ -12,15 +12,18 @@ of two interchangeable backends:
   whole oblivious sort as per-substage index arrays over one
   ``(workers, block)`` key matrix, built straight from the plan and
   executed as a handful of numpy ops per substage, with comparison/traffic
-  accounting computed in closed form.  Paths without a program (per-phase
-  observers, the full-sort ablation, the SPMD machine, ``compare_split``)
-  run its vectorized kernels: batched 2-D sorts, 2-D exchange-splits, and
-  a masked vectorized sift-down that reproduces the reference heapsort's
+  accounting computed in closed form.  A phase-engine sort with a
+  per-phase observer walks that same program pair by pair, and the SPMD
+  machine and ``compare_split`` have no program; these run its
+  vectorized kernels: batched 2-D sorts, 2-D exchange-splits, and a
+  masked vectorized sift-down that reproduces the reference heapsort's
   *exact* per-block comparison counts while processing every block at
   once (see :mod:`repro.kernels.compiled`);
 * ``"loop"`` — the reference path: element-at-a-time pure-Python kernels
   (the textbook heapsort, two-pointer run merges) whose behavior is
-  obviously the algorithm the paper describes.
+  obviously the algorithm the paper describes.  The phase engine walks
+  the program pair by pair with them
+  (:func:`repro.core.single_fault.run_program_interpreted`).
 
 The backends are interchangeable by construction: identical sorted output,
 identical comparison/exchange accounting, identical simulated clock (the

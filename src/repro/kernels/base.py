@@ -26,9 +26,9 @@ class KernelBackend(ABC):
     #: Registry name (``"loop"`` / ``"compiled"``).
     name: str = "abstract"
 
-    #: True when the phase engine should bypass its per-pair interpreter and
-    #: execute the whole sort as a flat array program built from the plan
-    #: (see :mod:`repro.kernels.compiled`).
+    #: True when the phase engine should execute the plan's program as a
+    #: flat array program instead of walking it pair by pair (see
+    #: :mod:`repro.kernels.compiled`).
     schedule_compiled: bool = False
 
     # -- local sort -------------------------------------------------------

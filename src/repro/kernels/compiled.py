@@ -6,7 +6,8 @@ The phase engine's schedule executor is this tier's main route:
 :func:`~repro.core.schedule.build_plain_program` turn a plan into
 per-substage index arrays over one ``(workers, block)`` key matrix (the
 program :func:`~repro.core.schedule.lower_schedule` would make of the
-plan's :class:`~repro.core.schedule.SortSchedule`), and
+plan's :class:`~repro.core.schedule.SortSchedule`), either ``step8``
+mode included, :func:`program_machine` serves it from the plan cache, and
 :func:`run_schedule_compiled` executes each substage as a handful of numpy
 operations — one vectorized probe, a gather of the executed pairs, one
 batched compare-split, one scatter — with the paper's comparison/traffic
@@ -47,10 +48,12 @@ its own rows and buffer slices, and everything else (the probe, the
 accounting, mirror swaps) stays on the calling thread, so the split
 cannot change an output.
 
-Off the schedule — the per-pair interpreter (per-phase ``observer``
-callbacks, the ``step8="full-sort"`` ablation), the SPMD machine's
-per-message legs, and :func:`repro.sorting.merge.compare_split` — the
-backend's kernel methods run the same operations on whole batches:
+Off the executor — the program walker
+(:func:`repro.core.single_fault.run_program_interpreted`, which runs the
+same program pair by pair for sorts with a per-phase ``observer``), the
+SPMD machine's per-message legs, and
+:func:`repro.sorting.merge.compare_split` — the backend's kernel methods
+run the same operations on whole batches:
 
 * **local sort** — one row-wise ``np.sort`` when the caller charges the
   closed-form worst case; with exact counts, :func:`heapsort_batch` runs
@@ -88,7 +91,7 @@ import numpy as np
 from repro.faults.injectors import active_comparison
 from repro.kernels.base import KernelBackend
 
-__all__ = ["CompiledBackend", "heapsort_batch", "run_schedule_compiled"]
+__all__ = ["CompiledBackend", "heapsort_batch", "program_machine", "run_schedule_compiled"]
 
 #: Fewest keys worth a chunk of their own: union keys (2k per executed
 #: pair) for a substage, row keys for the final sort.  Below it a helper
@@ -166,13 +169,12 @@ def heapsort_batch(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 class CompiledBackend(KernelBackend):
     """Vectorized kernels plus whole-schedule flat-array execution.
 
-    The flag :attr:`schedule_compiled` is what the phase-engine entry points
-    (:func:`repro.core.ftsort.fault_tolerant_sort`,
-    :func:`repro.core.single_fault.single_fault_bitonic_sort`, …) test to
-    route a run through :func:`run_schedule_compiled` instead of the
-    per-pair interpreter.  Paths the compiler does not model (the
-    ``step8="full-sort"`` ablation, per-phase ``observer`` callbacks, the
-    SPMD discrete-event machine) run the kernel methods below.
+    The flag :attr:`schedule_compiled` is what the phase engine's route
+    choice (:func:`repro.core.single_fault.run_program`) tests to run a
+    sort through :func:`run_schedule_compiled` instead of walking the
+    program pair by pair.  Sorts with a per-phase ``observer`` walk it
+    with the kernel methods below, as does the SPMD discrete-event
+    machine.
     """
 
     name = "compiled"
@@ -297,25 +299,49 @@ def _close_phase(machine, rec) -> None:
     machine.phases.append(rec)
 
 
+def program_machine(build_program, faults, cache_kind: str, cache_key: tuple,
+                    params=None, obs=None):
+    """A fresh :class:`~repro.simulator.phases.PhaseMachine` for ``faults``
+    and the plan's cached program, as both phase-engine routes run it.
+
+    ``build_program(hops_of)`` makes the program on a plan-cache miss, with
+    the machine's fault-aware hop metric when routes may detour and
+    ``None`` (Hamming distance) when they cannot.  The program is served
+    from the plan cache's ``compiled`` section under ``(cache_kind,) +
+    cache_key`` (plus the fault set whenever the hop metric depends on
+    it), so every route and tenant running one plan shares one program.
+    """
+    # Deferred: this module is imported by the ``repro.kernels`` package
+    # __init__, which the sorting layer imports — a module-scope import of
+    # the simulator or the plan cache would recurse into a
+    # half-initialized package.
+    from repro.plancache.cache import cached_compiled_program
+    from repro.simulator.phases import PhaseMachine
+
+    machine = PhaseMachine(faults.n, params=params, faults=faults, obs=obs)
+    hops_of = machine.hops if faults.may_detour else None
+    program = cached_compiled_program(cache_kind, cache_key, faults,
+                                      lambda: build_program(hops_of))
+    return machine, program
+
+
 def run_schedule_compiled(
     build_program,
     keys,
     faults,
+    cache_kind: str,
+    cache_key: tuple,
     params=None,
     obs=None,
     exact_counts: bool = False,
-    cache_kind: str | None = None,
-    cache_key: tuple | None = None,
 ):
     """Execute a compiled program on ``keys`` as a flat array program.
 
     Args:
-        build_program: ``f(hops_of) -> CompiledSchedule``, a plan bound to
-            :func:`~repro.core.schedule.build_ft_program` or
-            :func:`~repro.core.schedule.build_plain_program`.  It is called
-            on a cache miss only, with the machine's fault-aware hop metric
-            when routes may detour and ``None`` (Hamming distance) when
-            they cannot.
+        build_program, cache_kind, cache_key: the plan's program, as
+            :func:`program_machine` fetches it: ``build_program`` is a plan
+            bound to :func:`~repro.core.schedule.build_ft_program` or
+            :func:`~repro.core.schedule.build_plain_program`.
         faults: the run's :class:`~repro.faults.model.FaultSet` (drives the
             hop metric and the machine's fault bookkeeping).
         params: machine cost constants (default NCUBE/7).
@@ -325,11 +351,6 @@ def run_schedule_compiled(
         exact_counts: charge exact heapsort comparison counts for the local
             sort (via the batched vectorized heapsort) instead of the
             paper's closed-form worst case.
-        cache_kind / cache_key: when given, the program is served from the
-            plan cache's ``compiled`` section under
-            ``(cache_kind,) + cache_key`` (plus the fault set whenever the
-            hop metric depends on it) — multi-tenant jobs sharing a plan
-            also share the compiled program.
 
     Returns:
         ``(sorted_keys, machine, block_size, program)``; ``machine`` is a
@@ -339,23 +360,13 @@ def run_schedule_compiled(
         the executed :class:`~repro.core.schedule.CompiledSchedule` (its
         ``output_order`` places the result).
     """
-    # Core/simulator imports are deferred: this module is imported by the
-    # ``repro.kernels`` package __init__, which the sorting layer imports —
-    # a module-scope import of either would recurse into a half-initialized
-    # package.
     from repro.core.blocks import pad_and_chunk, strip_padding
-    from repro.plancache.cache import cached_compiled_program
-    from repro.simulator.phases import PhaseMachine, PhaseRecord
+    from repro.simulator.phases import PhaseRecord
 
-    machine = PhaseMachine(faults.n, params=params, faults=faults, obs=obs)
+    machine, program = program_machine(build_program, faults, cache_kind, cache_key,
+                                       params=params, obs=obs)
     par = machine.params
     t_compare = par.t_compare
-    hops_of = machine.hops if faults.may_detour else None
-    if cache_kind is not None and cache_key is not None:
-        program = cached_compiled_program(cache_kind, cache_key, faults,
-                                          lambda: build_program(hops_of))
-    else:
-        program = build_program(hops_of)
 
     keys_arr = np.asarray(keys, dtype=float)
     key_matrix, block = pad_and_chunk(keys_arr, program.workers)

@@ -31,12 +31,11 @@ positions, each chunk still ascending inside) — equivalent to the paper's
 genuinely-descending layout up to free local reversals, with identical
 communication pattern and cost.
 
-Lockstep groups
----------------
-The fault-tolerant sort runs ``2**m`` subcubes *in parallel*; their
-identical substage sequences must share phases (phase time is a max, not a
-sum).  :func:`block_bitonic_sort_groups` runs any number of equal-dimension
-logical cubes through the network in lockstep, each with its own direction.
+The phase engine's sorts run their networks as programs built from the
+plan (:mod:`repro.core.schedule`), whose substages batch every subcube's
+pairs into one :func:`run_exchange_jobs` call; :func:`block_bitonic_sort`
+sorts one logical cube of blocks (the maximal fault-free subcube
+baseline).
 """
 
 from __future__ import annotations
@@ -50,9 +49,7 @@ from repro.kernels import resolve_backend
 from repro.simulator.phases import PhaseMachine
 
 __all__ = [
-    "block_bitonic_merge_groups",
     "block_bitonic_sort",
-    "block_bitonic_sort_groups",
     "exchange_pair",
     "run_exchange_jobs",
     "substage_pairs",
@@ -226,129 +223,6 @@ def exchange_pair(
     )
 
 
-def _validate_group(
-    machine: PhaseMachine,
-    addr_of_logical: Sequence[int],
-    dead_logical: frozenset[int],
-) -> int:
-    size = len(addr_of_logical)
-    if size == 0 or size & (size - 1):
-        raise ValueError(f"addr_of_logical length must be a power of two, got {size}")
-    if not dead_logical <= {0}:
-        raise ValueError(
-            f"dead logical positions {sorted(dead_logical)} must be within {{0}}; "
-            "reindex the dead processor to logical address 0 first (the only "
-            "position where the skip rule is exact)"
-        )
-    live_sizes = {
-        machine.get_block(addr_of_logical[l]).size
-        for l in range(size)
-        if l not in dead_logical
-    }
-    if len(live_sizes) > 1:
-        raise ValueError(f"live blocks must have equal sizes, got {sorted(live_sizes)}")
-    for l in dead_logical:
-        if machine.get_block(addr_of_logical[l]).size:
-            raise ValueError(f"dead logical position {l} holds keys")
-    return size.bit_length() - 1
-
-
-def block_bitonic_sort_groups(
-    machine: PhaseMachine,
-    groups: Sequence[tuple[Sequence[int], frozenset[int] | set[int], bool]],
-    label: str = "bitonic",
-    uniform_hops: int | None = 1,
-    kernels=None,
-) -> None:
-    """Sort several equal-dimension logical cubes in lockstep phases.
-
-    Args:
-        machine: the phase machine holding every node's block.
-        groups: ``(addr_of_logical, dead_logical, descending)`` per logical
-            cube; all must share one power-of-two length and their physical
-            address sets must be disjoint.  ``dead_logical`` ⊆ ``{0}``.
-        label: phase-label prefix.
-        uniform_hops: hop count per exchange (1 when logical neighbors are
-            physical neighbors, as with any XOR reindexing); ``None`` uses
-            the machine's fault-aware metric.
-        kernels: kernel backend (or name) for the exchange-splits; ``None``
-            uses the process default.  Every substage batches its pairs —
-            across all groups — into one :func:`run_exchange_jobs` call.
-
-    After the call each ascending group's logical-order chunk ranks are
-    ``0, 1, 2, ...`` and each descending group's are reversed (see module
-    docstring).
-    """
-    if not groups:
-        return
-    kern = resolve_backend(kernels)
-    norm = [(list(a), frozenset(d), bool(desc)) for a, d, desc in groups]
-    qs = {_validate_group(machine, a, d) for a, d, _ in norm}
-    if len(qs) != 1:
-        raise ValueError(f"all groups must share one dimension, got {sorted(qs)}")
-    q = qs.pop()
-    seen: set[int] = set()
-    for a, _, _ in norm:
-        dup = seen.intersection(a)
-        if dup:
-            raise ValueError(f"groups overlap on physical addresses {sorted(dup)}")
-        seen.update(a)
-    if q == 0:
-        return
-    for i in range(q):
-        for j in range(i, -1, -1):
-            with machine.phase(f"{label}[i={i},j={j}]"):
-                jobs = [
-                    (addr_of_logical[low], addr_of_logical[high], low_keeps_min, uniform_hops)
-                    for addr_of_logical, dead, descending in norm
-                    for low, high, low_keeps_min in substage_pairs(q, i, j, descending)
-                    if not (low in dead and high in dead)
-                ]
-                run_exchange_jobs(machine, jobs, kernels=kern)
-
-
-def block_bitonic_merge_groups(
-    machine: PhaseMachine,
-    groups: Sequence[tuple[Sequence[int], frozenset[int] | set[int], bool]],
-    label: str = "bitonic-merge",
-    uniform_hops: int | None = 1,
-    kernels=None,
-) -> None:
-    """One bitonic *merge* pass over each group, in lockstep phases.
-
-    A merge is the final stage of the bitonic sort alone: substages
-    ``j = q-1 .. 0`` with every comparator pointing the group's direction.
-    It sorts the group iff the virtual sequence — the live blocks plus the
-    dead node's sentinel block (``-inf`` for ascending, ``+inf`` for
-    descending, always at logical 0) — is cyclically bitonic.  The
-    fault-tolerant sort's Step 8 establishes that precondition analytically
-    (see :mod:`repro.core.ftsort`); callers with arbitrary data must use
-    :func:`block_bitonic_sort_groups` instead.
-
-    Arguments are exactly those of :func:`block_bitonic_sort_groups`.
-    """
-    if not groups:
-        return
-    kern = resolve_backend(kernels)
-    norm = [(list(a), frozenset(d), bool(desc)) for a, d, desc in groups]
-    qs = {_validate_group(machine, a, d) for a, d, _ in norm}
-    if len(qs) != 1:
-        raise ValueError(f"all groups must share one dimension, got {sorted(qs)}")
-    q = qs.pop()
-    if q == 0:
-        return
-    i = q - 1
-    for j in range(i, -1, -1):
-        with machine.phase(f"{label}[j={j}]"):
-            jobs = [
-                (addr_of_logical[low], addr_of_logical[high], low_keeps_min, uniform_hops)
-                for addr_of_logical, dead, descending in norm
-                for low, high, low_keeps_min in substage_pairs(q, i, j, descending)
-                if not (low in dead and high in dead)
-            ]
-            run_exchange_jobs(machine, jobs, kernels=kern)
-
-
 def block_bitonic_sort(
     machine: PhaseMachine,
     addr_of_logical: Sequence[int],
@@ -358,16 +232,51 @@ def block_bitonic_sort(
     uniform_hops: int | None = 1,
     kernels=None,
 ) -> None:
-    """Sort one logical cube of blocks (see :func:`block_bitonic_sort_groups`).
+    """Sort one logical cube of blocks, one machine phase per substage.
 
-    Single-group convenience wrapper: after the call (ascending), reading
-    the blocks at ``addr_of_logical[0], addr_of_logical[1], ...`` and
-    concatenating gives the keys in ascending order.
+    Args:
+        machine: the phase machine holding every node's block.
+        addr_of_logical: physical address of each logical position; its
+            length is a power of two.
+        dead_logical: dead (key-less) logical positions, ``⊆ {0}``.
+        descending: run the direction-inverted network.
+        label: phase-label prefix.
+        uniform_hops: hop count per exchange (1 when logical neighbors are
+            physical neighbors, as with any XOR reindexing); ``None`` uses
+            the machine's fault-aware metric.
+        kernels: kernel backend (or name) for the exchange-splits; ``None``
+            uses the process default.  Every substage's pairs go to one
+            :func:`run_exchange_jobs` call.
+
+    After an ascending sort, reading the blocks at ``addr_of_logical[0],
+    addr_of_logical[1], ...`` and concatenating gives the keys in
+    ascending order; a descending sort reverses the chunk ranks (see the
+    module docstring).
     """
-    block_bitonic_sort_groups(
-        machine,
-        [(addr_of_logical, frozenset(dead_logical), descending)],
-        label=label,
-        uniform_hops=uniform_hops,
-        kernels=kernels,
-    )
+    size = len(addr_of_logical)
+    if size == 0 or size & (size - 1):
+        raise ValueError(f"addr_of_logical length must be a power of two, got {size}")
+    dead = frozenset(dead_logical)
+    if not dead <= {0}:
+        raise ValueError(
+            f"dead logical positions {sorted(dead)} must be within {{0}}; "
+            "reindex the dead processor to logical address 0 first (the only "
+            "position where the skip rule is exact)"
+        )
+    live_sizes = {machine.get_block(addr_of_logical[l]).size
+                  for l in range(size) if l not in dead}
+    if len(live_sizes) > 1:
+        raise ValueError(f"live blocks must have equal sizes, got {sorted(live_sizes)}")
+    for l in dead:
+        if machine.get_block(addr_of_logical[l]).size:
+            raise ValueError(f"dead logical position {l} holds keys")
+    kern = resolve_backend(kernels)
+    q = size.bit_length() - 1
+    for i in range(q):
+        for j in range(i, -1, -1):
+            with machine.phase(f"{label}[i={i},j={j}]"):
+                jobs = [
+                    (addr_of_logical[low], addr_of_logical[high], low_keeps_min, uniform_hops)
+                    for low, high, low_keeps_min in substage_pairs(q, i, j, descending)
+                ]
+                run_exchange_jobs(machine, jobs, kernels=kern)

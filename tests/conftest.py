@@ -27,14 +27,14 @@ def assert_sorted_output(result, keys):
 
 
 def _no_op_observer(machine, record) -> None:
-    """Attached only to route a ``compiled`` sort through the interpreter."""
+    """Attached only to route a ``compiled`` sort through the program walker."""
 
 
 #: ``fault_tolerant_sort`` arguments per route of the kernel parity suites:
-#: the ``loop`` spec, the compiled kernels on the per-pair interpreter (the
+#: the ``loop`` spec, the compiled kernels on the program walker (the
 #: schedule executor does not model phase observers, so a sort with one
-#: runs the interpreter at every ``r``), and the compiled schedule
-#: executor.
+#: walks its program pair by pair at every ``r``), and the compiled
+#: schedule executor.
 KERNEL_ROUTES = {
     "loop": dict(kernels="loop"),
     "interpreted": dict(kernels="compiled", observer=_no_op_observer),

@@ -240,13 +240,14 @@ def assert_same_program(direct: CompiledSchedule, reference: CompiledSchedule) -
         assert type(got.uniform_hops) is type(want.uniform_hops), got.label
 
 
-def _ft_case(fault_set: FaultSet):
+def _ft_case(fault_set: FaultSet, full_sort: bool = False):
     """``(direct, reference)`` programs for a fault set's plan, with the
     hop metric a compiled sort under that fault set uses."""
     n = fault_set.n
     _, sel = plan_partition(n, fault_set)
     hops = PhaseMachine(n, faults=fault_set).hops
-    return build_ft_program(sel, hops), lower_schedule(build_ft_schedule(sel), hops)
+    return (build_ft_program(sel, hops, full_sort=full_sort),
+            lower_schedule(build_ft_schedule(sel, full_sort=full_sort), hops))
 
 
 @st.composite
@@ -277,25 +278,25 @@ class TestDirectBuilders:
     """``build_*_program`` equal the object route, array for array."""
 
     @settings(max_examples=60, deadline=None)
-    @given(fault_set=_processor_faults())
-    def test_ft_program_matches_object_route(self, fault_set):
+    @given(fault_set=_processor_faults(), full_sort=st.booleans())
+    def test_ft_program_matches_object_route(self, fault_set, full_sort):
         assume(fault_set.satisfies_paper_model())
-        assert_same_program(*_ft_case(fault_set))
+        assert_same_program(*_ft_case(fault_set, full_sort))
 
     @settings(max_examples=30, deadline=None)
     @example(fault_set=absorb_link_faults(
-        FaultSet(4, [3], kind=FaultKind.PARTIAL, links=[(9, 13), (0, 1)])))
-    @given(fault_set=_link_faults())
-    def test_ft_program_matches_object_route_with_link_faults(self, fault_set):
+        FaultSet(4, [3], kind=FaultKind.PARTIAL, links=[(9, 13), (0, 1)])), full_sort=False)
+    @given(fault_set=_link_faults(), full_sort=st.booleans())
+    def test_ft_program_matches_object_route_with_link_faults(self, fault_set, full_sort):
         assume(fault_set.r >= 2 and fault_set.satisfies_paper_model())
         n = fault_set.n
         _, sel = plan_partition(n, fault_set)
         hops = PhaseMachine(n, faults=fault_set).hops
         try:
-            reference = lower_schedule(build_ft_schedule(sel), hops)
+            reference = lower_schedule(build_ft_schedule(sel, full_sort=full_sort), hops)
         except ValueError:  # the faults cut some pair off from each other
             assume(False)
-        assert_same_program(build_ft_program(sel, hops), reference)
+        assert_same_program(build_ft_program(sel, hops, full_sort=full_sort), reference)
 
     @pytest.mark.parametrize("n", range(9))
     def test_plain_program_matches_object_route(self, n):

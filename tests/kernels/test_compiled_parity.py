@@ -66,28 +66,29 @@ def _assert_identical(a, b):
         )
 
 
-def _run_all(keys, n, faults, exact=False, params=None):
+def _run_all(keys, n, faults, exact=False, params=None, step8="two-merge"):
     return {
         route: fault_tolerant_sort(keys, n, faults, exact_counts=exact,
-                                   params=params, **kw)
+                                   params=params, step8=step8, **kw)
         for route, kw in KERNEL_ROUTES.items()
     }
 
 
 class TestCompiledParity:
-    @settings(max_examples=20, deadline=None)
+    @settings(max_examples=40, deadline=None)
     @given(
         seed=st.integers(min_value=0, max_value=10_000),
         n=st.integers(min_value=2, max_value=5),
         keys=st.integers(min_value=0, max_value=200),
         exact=st.booleans(),
+        step8=st.sampled_from(["two-merge", "full-sort"]),
     )
-    def test_three_way_parity(self, seed, n, keys, exact):
+    def test_three_way_parity(self, seed, n, keys, exact, step8):
         rng = np.random.default_rng(seed)
         r = int(rng.integers(0, n))
         faults = sorted(rng.choice(1 << n, size=r, replace=False).tolist())
         key_arr = rng.integers(0, 10**6, size=keys).astype(float)
-        results = _run_all(key_arr, n, faults, exact=exact)
+        results = _run_all(key_arr, n, faults, exact=exact, step8=step8)
         np.testing.assert_array_equal(
             results["compiled"].sorted_keys, np.sort(key_arr)
         )
@@ -374,27 +375,35 @@ class TestSplitAcrossCores:
 
 
 class TestObsParity:
-    @pytest.mark.parametrize("n,faults", [(4, []), (4, [5]), (5, PAPER_FAULTS)])
+    """Every route records the same spans in the same order, and the same
+    counters: both walk one program, and the step spans are read off its
+    phases after the run."""
+
+    @pytest.mark.parametrize("n,faults", [
+        (4, []), (4, [5]), (5, PAPER_FAULTS),
+        (4, FaultSet(4, [3, 9, 14], kind=FaultKind.TOTAL)),
+    ])
     def test_sort_counters_and_phase_spans_match(self, n, faults):
         rng = np.random.default_rng(17)
         key_arr = rng.integers(0, 10**6, size=100).astype(float)
-        tracers = {}
-        for name in ("loop", "compiled"):
-            tr = Tracer()
-            fault_tolerant_sort(key_arr, n, faults, kernels=name, obs=tr)
-            tracers[name] = tr
-        a, b = tracers["loop"], tracers["compiled"]
-        assert set(a.metrics.counters) == set(b.metrics.counters)
-        for cname, counter in a.metrics.counters.items():
-            assert counter.value == b.metrics.counters[cname].value, cname
-        phase = lambda tr: sorted(
-            (s.name, s.ts, s.dur) for s in tr.spans if s.cat == "phase"
-        )
-        assert phase(a) == phase(b)
-        steps = lambda tr: {
-            (s.name, s.ts, s.dur) for s in tr.spans if s.cat == "step"
-        }
-        assert steps(a) == steps(b)
+
+        def spans(tr):
+            return [(s.name, s.ts, s.dur, s.cat, s.args) for s in tr.spans]
+
+        def counters(tr):
+            return {name: c.value for name, c in tr.metrics.counters.items()}
+
+        for step8 in ("two-merge", "full-sort"):
+            tracers = {}
+            for route, kw in KERNEL_ROUTES.items():
+                tr = Tracer()
+                fault_tolerant_sort(key_arr, n, faults, obs=tr, step8=step8, **kw)
+                tracers[route] = tr
+            ref = tracers["compiled"]
+            assert any(s.cat == "step" for s in ref.spans)
+            for route in ("loop", "interpreted"):
+                assert spans(tracers[route]) == spans(ref), (route, step8)
+                assert counters(tracers[route]) == counters(ref), (route, step8)
 
 
 class TestPlanCacheReplay:

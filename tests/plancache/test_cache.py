@@ -9,6 +9,7 @@ from repro.core.ftsort import fault_tolerant_sort
 from repro.obs.metrics import MetricsRegistry
 from repro.plancache import PLAN_CACHE, PlanCache
 from repro.plancache.cache import _env_enabled
+from tests.conftest import KERNEL_ROUTES
 
 
 class TestMemo:
@@ -91,8 +92,9 @@ class TestEnvGate:
 
 
 class TestCompiledTierFootprint:
-    """Compiled-tier sorts build their programs from the plan: the cache
-    gains one ``compiled`` entry per new plan and no ``sched`` entry."""
+    """Phase-engine sorts build their programs from the plan: the cache
+    gains one ``compiled`` entry per new plan and no ``sched`` entry, on
+    every route."""
 
     @staticmethod
     def _entries(section: str) -> int:
@@ -112,4 +114,35 @@ class TestCompiledTierFootprint:
             fault_tolerant_sort(keys, n, faults, kernels="compiled")
             assert self._entries("compiled") == min(count + 1, len(plans))
         assert PLAN_CACHE.stats()["misses"]["sched"] == sched_misses
+        assert self._entries("sched") == 0
+
+    @pytest.mark.parametrize("route", ["loop", "interpreted"])
+    @pytest.mark.parametrize("n,faults", [(4, []), (4, [5]), (5, [3, 5, 16, 24])],
+                             ids=["r0", "r1", "r>=2"])
+    def test_interpreter_route_caches_the_executor_program(self, monkeypatch, route,
+                                                           n, faults):
+        """The interpreter walks the program the executor runs: its sort
+        adds the one ``compiled`` entry a later executor sort hits."""
+        monkeypatch.setattr(PLAN_CACHE, "enabled", True)
+        PLAN_CACHE.clear()
+        sched_misses = PLAN_CACHE.stats()["misses"]["sched"]
+        keys = np.random.default_rng(4).random(100)
+        fault_tolerant_sort(keys, n, faults, **KERNEL_ROUTES[route])
+        assert self._entries("compiled") == 1
+        hits = PLAN_CACHE.stats()["hits"]["compiled"]
+        fault_tolerant_sort(keys, n, faults, kernels="compiled")
+        assert self._entries("compiled") == 1
+        assert PLAN_CACHE.stats()["hits"]["compiled"] == hits + 1
+        assert PLAN_CACHE.stats()["misses"]["sched"] == sched_misses
+        assert self._entries("sched") == 0
+
+    def test_full_sort_program_has_its_own_entry(self, monkeypatch):
+        monkeypatch.setattr(PLAN_CACHE, "enabled", True)
+        PLAN_CACHE.clear()
+        hits = PLAN_CACHE.stats()["hits"]["compiled"]
+        keys = np.random.default_rng(4).random(100)
+        for step8 in ("two-merge", "full-sort", "two-merge", "full-sort"):
+            fault_tolerant_sort(keys, 5, [3, 5, 16, 24], step8=step8)
+        assert self._entries("compiled") == 2
+        assert PLAN_CACHE.stats()["hits"]["compiled"] == hits + 2
         assert self._entries("sched") == 0

@@ -9,9 +9,7 @@ from hypothesis import given, settings, strategies as st
 from repro.simulator.params import MachineParams
 from repro.simulator.phases import PhaseMachine
 from repro.sorting.bitonic_cube import (
-    block_bitonic_merge_groups,
     block_bitonic_sort,
-    block_bitonic_sort_groups,
     exchange_pair,
     substage_pairs,
 )
@@ -196,79 +194,3 @@ class TestBlockBitonicSort:
         block_bitonic_sort(m, addrs)
         out = gathered(m, addrs)
         assert out.tolist() == sorted(x for b in blocks for x in b)
-
-
-class TestGroups:
-    def test_lockstep_phase_sharing(self, rng):
-        # Two groups of Q_2 in a Q_3 machine: phases must be shared, so the
-        # phase count equals one group's count.
-        m = make_machine(3)
-        g1 = [0, 1, 2, 3]
-        g2 = [4, 5, 6, 7]
-        for a in g1 + g2:
-            m.set_block(a, np.sort(rng.random(2)))
-        block_bitonic_sort_groups(m, [(g1, frozenset(), False), (g2, frozenset(), True)])
-        assert len(m.phases) == 3  # 2*(2+1)/2
-
-    def test_overlapping_groups_rejected(self, rng):
-        m = make_machine(2)
-        for a in range(4):
-            m.set_block(a, np.sort(rng.random(2)))
-        with pytest.raises(ValueError):
-            block_bitonic_sort_groups(
-                m, [([0, 1], frozenset(), False), ([1, 2], frozenset(), False)]
-            )
-
-    def test_mixed_dimensions_rejected(self, rng):
-        m = make_machine(3)
-        for a in range(6):
-            m.set_block(a, np.sort(rng.random(2)))
-        with pytest.raises(ValueError):
-            block_bitonic_sort_groups(
-                m, [([0, 1], frozenset(), False), ([2, 3, 4, 5], frozenset(), False)]
-            )
-
-    def test_empty_groups_noop(self):
-        m = make_machine(1)
-        block_bitonic_sort_groups(m, [])
-        assert m.phases == []
-
-
-class TestMergeGroups:
-    def test_merges_bitonic_block_arrangement(self):
-        # Blocks forming an up-down (mountain) arrangement merge ascending.
-        m = make_machine(2)
-        addrs = [0, 1, 2, 3]
-        arrangement = [[1, 2], [5, 6], [7, 8], [3, 4]]
-        load_blocks(m, addrs, arrangement)
-        block_bitonic_merge_groups(m, [(addrs, frozenset(), False)])
-        out = gathered(m, addrs)
-        assert out.tolist() == sorted(x for b in arrangement for x in b)
-
-    def test_merge_with_dead_and_sentinel_consistent_input(self):
-        # Live blocks valley-shaped: with the dead at 0 (acting as -inf)
-        # the virtual sequence is cyclically bitonic; ascending merge works.
-        m = make_machine(2)
-        addrs = [0, 1, 2, 3]
-        load_blocks(m, addrs, [[], [1, 2], [7, 8], [3, 4]])
-        m.set_block(0, np.empty(0))
-        block_bitonic_merge_groups(m, [(addrs, frozenset({0}), False)])
-        out = gathered(m, addrs, skip={0})
-        assert out.tolist() == [1, 2, 3, 4, 7, 8]
-
-    def test_merge_phase_count_is_q(self, rng):
-        m = make_machine(3)
-        addrs = list(range(8))
-        load_blocks(m, addrs, [sorted(rng.integers(0, 9, size=2)) for _ in addrs])
-        block_bitonic_merge_groups(m, [(addrs, frozenset(), False)])
-        assert len(m.phases) == 3
-
-    def test_merge_monotone_input_all_probe_skips(self, unit_params):
-        m = make_machine(2)
-        addrs = list(range(4))
-        load_blocks(m, addrs, [[1, 2], [3, 4], [5, 6], [7, 8]])
-        block_bitonic_merge_groups(m, [(addrs, frozenset(), False)])
-        # Already ascending: every comparator should probe-skip.
-        assert all(p.elements_sent == p.messages for p in m.phases)
-        out = gathered(m, addrs)
-        assert out.tolist() == [1, 2, 3, 4, 5, 6, 7, 8]
