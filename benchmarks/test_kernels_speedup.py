@@ -14,8 +14,9 @@ The headline measurements from the PERFORMANCE.md contract:
   compare-split, across block sizes from 17 to 515 keys and on
   lib-manyproc's shape (``n = 14``, 17-key blocks);
 * building a fresh plan's compiled program straight from the plan versus
-  building and lowering its per-pair schedule objects (``n = 10``,
-  ``r = 5`` and ``n = 14``; ``n = 8`` with ``--fast``);
+  building and lowering its per-pair schedule objects, and binding a
+  second plan to the first one's cached skeleton (``n = 10``, ``r = 5``
+  and ``n = 14``; ``n = 8`` with ``--fast``);
 * the memoized partition DFS versus its reference implementation at the
   hardest configuration the suite exercises (``n = 10``, ``r = 9``);
 * a chaos campaign run serially versus fanned out over worker processes.
@@ -44,6 +45,7 @@ from repro.core.partition import _find_min_cuts_reference, find_min_cuts
 from repro.core.schedule import build_ft_program, build_ft_schedule, lower_schedule
 from repro.faults.model import FaultKind, FaultSet
 from repro.parallel import effective_cpu_count
+from repro.plancache import PLAN_CACHE
 from repro.simulator.phases import PhaseMachine
 
 SEED = 1992
@@ -70,9 +72,12 @@ def _no_op_observer(machine, record) -> None:
     """Attached only to route a ``compiled`` sort through the interpreter."""
 
 
-def _best_of(fn, reps: int) -> float:
+def _best_of(fn, reps: int, setup=None) -> float:
+    """Fastest of ``reps`` calls of ``fn``; ``setup`` runs untimed before each."""
     best = float("inf")
     for _ in range(reps):
+        if setup is not None:
+            setup()
         t0 = time.perf_counter()
         fn()
         best = min(best, time.perf_counter() - t0)
@@ -309,18 +314,23 @@ def _same_program(a, b) -> bool:
 
 
 class TestColdProgramBuild:
-    """Building a plan's compiled program: object route versus direct.
+    """Building a plan's compiled program: object route, direct, bound.
 
     The object route is what the compiled tier did before it built
     programs from the plan: a :class:`~repro.core.schedule.SortSchedule`
     of one frozen pair per comparator, lowered by
     :func:`~repro.core.schedule.lower_schedule`.  The direct route is
-    :func:`~repro.core.schedule.build_ft_program`.  Both get the hop
-    metric the compiled tier passes (``None`` for partial faults, where
-    no route detours).  Builds only, no sort; best-of per route.  The
+    :func:`~repro.core.schedule.build_ft_program` on an empty plan cache:
+    the ``(n, m)`` skeleton plus the plan's binding.  ``bind_seconds``
+    times the same builder on a second plan with the same ``(n, m)`` (the
+    first one's faults XOR 1), whose skeleton is already cached: what a
+    never-seen fault set costs a long-running process.  All get the hop
+    metric the compiled tier passes (``None`` for partial faults, where no
+    route detours).  Builds only, no sort; best-of per route.  The
     headline keys are the first size (``n = 8`` in fast mode, ``n = 10``
     with ``r = 5`` at full size); ``sizes`` holds every size and
-    ``parity`` says the two routes' arrays were equal at all of them.
+    ``parity`` says the object route's arrays equalled the builder's, for
+    both plans, at all of them.
     """
 
     def test_object_route_vs_direct(self, fast_mode, bench_json):
@@ -331,32 +341,48 @@ class TestColdProgramBuild:
                   (14, [3, 9, 4100], 2, 3)])
         rows = []
         for n, faults, object_reps, direct_reps in sizes:
-            fault_set = FaultSet(n, faults, kind=FaultKind.PARTIAL)
-            _, sel = plan_partition(n, fault_set)
-            machine = PhaseMachine(n, faults=fault_set)
+            plans = []
+            for fault_set in (FaultSet(n, faults, kind=FaultKind.PARTIAL),
+                              FaultSet(n, [a ^ 1 for a in faults], kind=FaultKind.PARTIAL)):
+                _, sel = plan_partition(n, fault_set)
+                machine = PhaseMachine(n, faults=fault_set)
+                plans.append((sel, machine.hops if fault_set.may_detour else None,
+                              machine.hops))
+            (sel, hops, metric), (twin, twin_hops, twin_metric) = plans
+            assert twin.m == sel.m and twin.dead_of_subcube != sel.dead_of_subcube
 
             def by_objects():
-                return lower_schedule(build_ft_schedule(sel), machine.hops)
+                return lower_schedule(build_ft_schedule(sel), metric)
 
             def direct():
-                return build_ft_program(sel, machine.hops if fault_set.may_detour else None)
+                return build_ft_program(sel, hops)
 
-            parity = _same_program(by_objects(), direct())
+            def bind():
+                return build_ft_program(twin, twin_hops)
+
+            parity = (_same_program(by_objects(), direct())
+                      and _same_program(lower_schedule(build_ft_schedule(twin), twin_metric),
+                                        bind()))
             t_object = _best_of(by_objects, object_reps)
-            t_direct = _best_of(direct, direct_reps)
+            t_direct = _best_of(direct, direct_reps, setup=PLAN_CACHE.clear)
+            direct()  # the skeleton the twin binds to
+            t_bind = _best_of(bind, direct_reps)
             rows.append({
                 "n": n, "faults": faults, "m": sel.m, "s": sel.s,
                 "object_seconds": t_object, "direct_seconds": t_direct,
+                "bind_seconds": t_bind,
                 "speedup": t_object / t_direct, "parity": bool(parity),
             })
             print(f"\ncold program n={n} r={len(faults)}: objects "
                   f"{t_object * 1e3:.1f}ms vs direct {t_direct * 1e3:.2f}ms "
-                  f"({t_object / t_direct:.1f}x)")
+                  f"({t_object / t_direct:.1f}x); bound to a cached skeleton "
+                  f"{t_bind * 1e3:.2f}ms")
         head = rows[0]
         bench_json("kernels", "cold_program", {
             "n": head["n"], "faults": head["faults"],
             "object_seconds": head["object_seconds"],
             "direct_seconds": head["direct_seconds"],
+            "bind_seconds": head["bind_seconds"],
             "speedup": head["speedup"],
             "parity": all(row["parity"] for row in rows),
             "sizes": rows, "fast_mode": fast_mode,

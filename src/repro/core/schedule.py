@@ -11,11 +11,13 @@ Programs — what the phase engine runs:
 :func:`build_ft_program` and :func:`build_plain_program` return a
 :class:`CompiledSchedule`: per-substage index arrays over the rows of one
 ``(workers, block)`` key matrix, built from the plan by index arithmetic
-in a few whole-array numpy operations per substage.  The phase engine runs
-one program two ways: :func:`repro.kernels.compiled.run_schedule_compiled`
-executes each substage as a handful of numpy operations (the default
-``compiled`` route), and
-:func:`repro.core.single_fault.run_program_interpreted` walks it pair by
+in a few whole-array numpy operations per substage.  Only the output order
+and the inter-subcube hop counts depend on the fault set; the rest, the
+skeleton, is built once per ``(n, m, step8)`` and shared by every program
+bound to it.  The phase engine runs one program two ways:
+:func:`repro.kernels.compiled.run_schedule_compiled` executes each
+substage as a handful of numpy operations (the default ``compiled``
+route), and :func:`repro.core.single_fault.run_program_interpreted` walks it pair by
 pair on a :class:`~repro.simulator.phases.PhaseMachine` (the ``loop`` spec,
 and any sort with a phase observer).  Both fetch the same cached program.
 
@@ -51,6 +53,7 @@ from repro.cube.address import (
     validate_address,
     validate_dimension,
 )
+from repro.plancache.cache import cached_program_skeleton
 from repro.sorting.bitonic_cube import substage_pairs
 
 __all__ = [
@@ -469,8 +472,24 @@ def _bitonic_rows(
             np.where(keep, high_rows, low_rows).ravel())
 
 
+def _substage(label: str, kind: str, a: np.ndarray, b: np.ndarray,
+              hops: np.ndarray | None) -> CompiledSubstage:
+    """A substage over frozen arrays, ``uniform_hops`` read off ``hops``.
+
+    ``hops=None`` makes a skeleton's inter-subcube template, which only a
+    plan can charge (:func:`_charged`).
+    """
+    uniform = None
+    if hops is not None:
+        uniform = int(hops[0]) if hops.size and (hops == hops[0]).all() else None
+        hops = _frozen(hops)
+    return CompiledSubstage(label=label, kind=kind, a_rows=_frozen(a),
+                            b_rows=_frozen(b), hops=hops, uniform_hops=uniform)
+
+
 def _neighbor_substage(label: str, a: np.ndarray, b: np.ndarray) -> CompiledSubstage:
-    """A cx substage whose pairs are all physical neighbors (1 hop)."""
+    """A cx substage whose pairs are all physical neighbors (1 hop, also
+    when it has no pairs)."""
     return CompiledSubstage(
         label=label,
         kind="cx",
@@ -481,31 +500,24 @@ def _neighbor_substage(label: str, a: np.ndarray, b: np.ndarray) -> CompiledSubs
     )
 
 
-def _routed_substage(
-    label: str,
-    kind: str,
-    a: np.ndarray,
-    b: np.ndarray,
-    low: np.ndarray,
-    high: np.ndarray,
-    hops_of,
-) -> CompiledSubstage:
-    """A substage charged over each pair's own route from ``low[t]`` to
-    ``high[t]``: ``hops_of`` per pair, or the Hamming distance when it is
-    ``None`` (no route detours)."""
-    if hops_of is None:
-        hops = popcount_array(low ^ high)
-    else:
-        hops = np.fromiter(map(hops_of, low.tolist(), high.tolist()),
-                           dtype=np.int64, count=low.size)
-    uniform = int(hops[0]) if hops.size and (hops == hops[0]).all() else None
-    return CompiledSubstage(
-        label=label,
-        kind=kind,
-        a_rows=_frozen(a),
-        b_rows=_frozen(b),
-        hops=_frozen(hops),
-        uniform_hops=uniform,
+def _charged(template: CompiledSubstage, hops: np.ndarray) -> CompiledSubstage:
+    """``template`` charged over ``hops``; the row arrays are shared."""
+    return _substage(template.label, template.kind, template.a_rows,
+                     template.b_rows, hops)
+
+
+def _metric_hops(hops_of, low: np.ndarray, high: np.ndarray) -> np.ndarray:
+    """``hops_of(low[t], high[t])`` for every pair (a detouring metric)."""
+    return np.fromiter(map(hops_of, low.tolist(), high.tolist()),
+                       dtype=np.int64, count=low.size)
+
+
+def _plain_skeleton(n: int, dead0: bool) -> tuple[CompiledSubstage, ...]:
+    """Every substage of the full-cube bitonic sort: all neighbor pairs."""
+    descending = np.zeros(1, dtype=bool)
+    return tuple(
+        _neighbor_substage(f"bitonic[i={i},j={j}]", *_bitonic_rows(n, i, j, descending, dead0))
+        for i in range(n) for j in range(i, -1, -1)
     )
 
 
@@ -513,7 +525,10 @@ def build_plain_program(n: int, faulty: int | None = None) -> CompiledSchedule:
     """``lower_schedule(build_plain_schedule(n, faulty))``, built directly.
 
     Logical position ``l`` sits on processor ``l XOR faulty`` and in row
-    ``l`` (``l - 1`` with a fault, whose logical 0 holds no row).
+    ``l`` (``l - 1`` with a fault, whose logical 0 holds no row).  Every
+    pair is a neighbor pair, so the substages depend on ``(n, faulty is
+    not None)`` alone: they come from the plan cache's ``skeleton``
+    section, and ``faulty`` adds only ``output_order``.
     """
     validate_dimension(n)
     dead0 = faulty is not None
@@ -521,15 +536,110 @@ def build_plain_program(n: int, faulty: int | None = None) -> CompiledSchedule:
         validate_address(faulty, n)
         if n == 0:
             raise ValueError("Q_0 with a fault has no working processor")
-    descending = np.zeros(1, dtype=bool)
-    substages = []
-    for i in range(n):
-        for j in range(i, -1, -1):
-            a, b = _bitonic_rows(n, i, j, descending, dead0)
-            substages.append(_neighbor_substage(f"bitonic[i={i},j={j}]", a, b))
+    substages = cached_program_skeleton(("plain", n, dead0),
+                                        lambda: _plain_skeleton(n, dead0))
     mask = faulty or 0
     output_order = tuple(l ^ mask for l in range(int(dead0), 1 << n))
-    return CompiledSchedule(n=n, output_order=output_order, substages=tuple(substages))
+    return CompiledSchedule(n=n, output_order=output_order, substages=substages)
+
+
+@dataclass(frozen=True)
+class _FtSkeleton:
+    """The part of a fault-tolerant program fixed by ``(n, m, step8)``.
+
+    ``substages`` is the whole program except the hops of its inter-subcube
+    substages: those entries are templates (``hops is None``), listed in
+    ``inter`` as ``(index, v_low, v_high)``: pair ``t`` joins processor
+    ``rho`` of subcube ``v_low[t // (P - 1)]`` with processor ``rho`` of
+    ``v_high[t // (P - 1)]``, ``rho = t % (P - 1) + 1``.  ``mirrors`` lists
+    the mirror substages as ``(index, flips)``: in each subcube of
+    ``flips``, processor ``rho`` swaps with ``P - rho``.  A mirror's
+    Hamming hops do not depend on the plan and are in place.
+    """
+
+    substages: tuple[CompiledSubstage, ...]
+    inter: tuple[tuple[int, np.ndarray, np.ndarray], ...]
+    mirrors: tuple[tuple[int, np.ndarray], ...]
+
+
+def _ft_skeleton(n: int, m: int, full_sort: bool) -> _FtSkeleton:
+    """Steps 3-8 on ``2**m`` subcubes of dimension ``n - m``, as rows.
+
+    Subcube ``v``'s reindexed processor ``rho`` (``1 <= rho < P``) is row
+    ``v * (P - 1) + rho - 1``.  Raises ``AssertionError`` unless every
+    Step-7 exchange pairs opposite-orientation subcubes and every subcube
+    ends ascending (see :func:`build_ft_program`).
+    """
+    s = n - m
+    p = 1 << s
+    vs = np.arange(1 << m, dtype=np.int64)
+    # Column 0 (the dead processor) gets row -1 and is never selected.
+    rows = (vs[:, None] * (p - 1) + np.arange(p)[None, :] - 1).astype(np.intp)
+    no_bit = np.zeros(vs.size, dtype=np.int64)
+    substages: list[CompiledSubstage] = []
+    inter: list[tuple[int, np.ndarray, np.ndarray]] = []
+    mirrors: list[tuple[int, np.ndarray]] = []
+
+    def intra_sort(label: str, ascending: np.ndarray) -> None:
+        for i in range(s):
+            for j in range(i, -1, -1):
+                a, b = _bitonic_rows(s, i, j, ~ascending, dead0=True)
+                substages.append(_neighbor_substage(f"{label}[i={i},j={j}]", a, b))
+
+    # Step 3: per-subcube sorts, ascending iff the subcube address is even.
+    ascending = (vs & 1) == 0
+    intra_sort("intra-init", ascending)
+
+    # Steps 4-8.
+    half = np.arange(1, p // 2)
+    # phys(v, rho) XOR phys(v, P - rho) is rho XOR (P - rho), placed on the
+    # non-cut dimensions: a mirror pair's distance is the same in every plan.
+    mirror_hops = popcount_array(half ^ (p - half))
+    for i in range(m):
+        mask = (vs >> (i + 1)) & 1 if i + 1 < m else no_bit
+        for j in range(i, -1, -1):
+            # Step 7: the subcube whose v_j equals mask keeps the minima.
+            bit_j = (vs >> j) & 1
+            kept_min = bit_j == mask
+            v_low = vs[bit_j == 0]
+            v_high = v_low | (1 << j)
+            same = ascending[v_low] == ascending[v_high]
+            if same.any():
+                v = int(v_low[same][0])
+                raise AssertionError(
+                    f"orientation invariant violated: subcubes {v}/{v | (1 << j)} "
+                    f"both {'ascending' if ascending[v] else 'descending'}"
+                )
+            keep = kept_min[v_low][:, None]
+            low_rows, high_rows = rows[v_low, 1:], rows[v_high, 1:]
+            inter.append((len(substages), v_low, v_high))
+            substages.append(_substage(
+                f"inter[i={i},j={j}]", "cx",
+                np.where(keep, low_rows, high_rows).ravel(),
+                np.where(keep, high_rows, low_rows).ravel(), None,
+            ))
+            # Step 8 (see build_ft_program).
+            prev_bit = (vs >> (j - 1)) & 1 if j >= 1 else no_bit
+            ascending = prev_bit == mask
+            if full_sort:
+                intra_sort(f"intra[i={i},j={j}]", ascending)
+                continue
+            for jj in range(s - 1, -1, -1):
+                a, b = _bitonic_rows(s, s - 1, jj, ~kept_min, dead0=True)
+                substages.append(
+                    _neighbor_substage(f"intra[i={i},j={j}]a[j={jj}]", a, b))
+            flips = vs[kept_min != ascending]
+            if flips.size:
+                mirrors.append((len(substages), flips))
+                substages.append(_substage(
+                    f"intra[i={i},j={j}]b", "mirror",
+                    rows[flips[:, None], half].ravel(),
+                    rows[flips[:, None], p - half].ravel(),
+                    np.tile(mirror_hops, flips.size),
+                ))
+    if not ascending.all():
+        raise AssertionError("final orientation must be ascending everywhere")
+    return _FtSkeleton(tuple(substages), tuple(inter), tuple(mirrors))
 
 
 def build_ft_program(
@@ -538,13 +648,19 @@ def build_ft_program(
     """``lower_schedule(build_ft_schedule(selection, full_sort), hops_of)``,
     built directly from the plan.
 
-    Subcube ``v``'s reindexed processor ``rho`` (``1 <= rho < P``) is row
-    ``v * (P - 1) + rho - 1`` — the order of ``output_order`` — and
-    physical processor ``combine(v, rho XOR dead_w[v])``, read from one
-    ``(2**m, P)`` table.  Addresses matter only for ``output_order`` and
-    for the hop counts of inter-subcube and mirror substages.
-    ``hops_of`` is the routing metric of :func:`lower_schedule`; ``None``
-    means the Hamming distance, computed for whole substages at once.
+    The program is a skeleton bound to the plan.  The skeleton (every
+    label, kind and row array, the neighbor and mirror substages whole) is
+    fixed by ``(n, m, full_sort)`` and comes from the plan cache's
+    ``skeleton`` section.  The binding reads subcube ``v``'s reindexed
+    processor ``rho`` as physical processor ``combine(v, rho XOR
+    dead_w[v])`` from one ``(2**m, P)`` table, in the row order of
+    ``output_order``, and charges the inter-subcube pairs.  Processor
+    ``rho`` of subcubes ``v`` and ``v XOR 2**j`` differ in the ``j``-th cut
+    dimension and in ``dead_w[v] XOR dead_w[v XOR 2**j]``, whatever
+    ``rho``, so without a metric (``hops_of=None``: the Hamming distance)
+    all ``P - 1`` pairs of two subcubes are charged ``1 + h``, ``h`` being
+    their term of Eq. (1).  ``hops_of`` is the routing metric of :func:`lower_schedule`:
+    with one, inter-subcube and mirror pairs are charged pair by pair.
 
     Step 8 re-sorts every subcube in its target direction (ascending iff
     ``v_{j-1} == mask``).  ``full_sort`` runs the literal
@@ -569,81 +685,33 @@ def build_ft_program(
     Both builders raise ``AssertionError`` unless every Step-7 exchange
     pairs opposite-orientation subcubes — precisely the condition under
     which the equal-``rho`` pairing realizes an exact supernode
-    merge-split — and every subcube ends ascending.
+    merge-split — and every subcube ends ascending.  The skeleton checks
+    both, once per ``(n, m, full_sort)``.
     """
     m, s = selection.m, selection.s
     if s < 1:
         raise ValueError("fault-tolerant schedule needs subcubes of dimension >= 1")
     n = selection.n
+    skeleton = cached_program_skeleton(("ft", n, m, full_sort),
+                                       lambda: _ft_skeleton(n, m, full_sort))
     p = 1 << s
     split = selection.split
-    vs = np.arange(1 << m, dtype=np.int64)
     rhos = np.arange(p, dtype=np.int64)
     dead_w = np.array([split.w_of(d) for d in selection.dead_of_subcube], dtype=np.int64)
-    phys = (_place_bits(vs, split.cut_dims)[:, None]
+    phys = (_place_bits(np.arange(1 << m, dtype=np.int64), split.cut_dims)[:, None]
             | _place_bits(rhos, split.rest_dims)[rhos[None, :] ^ dead_w[:, None]])
-    # Column 0 (the dead processor) gets row -1 and is never selected.
-    rows = (vs[:, None] * (p - 1) + rhos[None, :] - 1).astype(np.intp)
-    no_bit = np.zeros(vs.size, dtype=np.int64)
-    substages = []
-
-    def intra_sort(label: str, ascending: np.ndarray) -> None:
-        for i in range(s):
-            for j in range(i, -1, -1):
-                a, b = _bitonic_rows(s, i, j, ~ascending, dead0=True)
-                substages.append(_neighbor_substage(f"{label}[i={i},j={j}]", a, b))
-
-    # Step 3: per-subcube sorts, ascending iff the subcube address is even.
-    ascending = (vs & 1) == 0
-    intra_sort("intra-init", ascending)
-
-    # Steps 4-8.
-    half = np.arange(1, p // 2)
-    for i in range(m):
-        mask = (vs >> (i + 1)) & 1 if i + 1 < m else no_bit
-        for j in range(i, -1, -1):
-            # Step 7: the subcube whose v_j equals mask keeps the minima.
-            bit_j = (vs >> j) & 1
-            kept_min = bit_j == mask
-            v_low = vs[bit_j == 0]
-            v_high = v_low | (1 << j)
-            same = ascending[v_low] == ascending[v_high]
-            if same.any():
-                v = int(v_low[same][0])
-                raise AssertionError(
-                    f"orientation invariant violated: subcubes {v}/{v | (1 << j)} "
-                    f"both {'ascending' if ascending[v] else 'descending'}"
-                )
-            keep = kept_min[v_low][:, None]
-            low_rows, high_rows = rows[v_low, 1:], rows[v_high, 1:]
-            substages.append(_routed_substage(
-                f"inter[i={i},j={j}]", "cx",
-                np.where(keep, low_rows, high_rows).ravel(),
-                np.where(keep, high_rows, low_rows).ravel(),
-                phys[v_low, 1:].ravel(), phys[v_high, 1:].ravel(), hops_of,
-            ))
-            # Step 8 (see above).
-            prev_bit = (vs >> (j - 1)) & 1 if j >= 1 else no_bit
-            ascending = prev_bit == mask
-            if full_sort:
-                intra_sort(f"intra[i={i},j={j}]", ascending)
-                continue
-            for jj in range(s - 1, -1, -1):
-                a, b = _bitonic_rows(s, s - 1, jj, ~kept_min, dead0=True)
-                substages.append(
-                    _neighbor_substage(f"intra[i={i},j={j}]a[j={jj}]", a, b))
-            flips = vs[kept_min != ascending]
-            if flips.size:
-                substages.append(_routed_substage(
-                    f"intra[i={i},j={j}]b", "mirror",
-                    rows[flips[:, None], half].ravel(),
-                    rows[flips[:, None], p - half].ravel(),
-                    phys[flips[:, None], half].ravel(),
-                    phys[flips[:, None], p - half].ravel(),
-                    hops_of,
-                ))
-    if not ascending.all():
-        raise AssertionError("final orientation must be ascending everywhere")
-
+    substages = list(skeleton.substages)
+    for index, v_low, v_high in skeleton.inter:
+        if hops_of is None:
+            hops = np.repeat(1 + popcount_array(dead_w[v_low] ^ dead_w[v_high]), p - 1)
+        else:
+            hops = _metric_hops(hops_of, phys[v_low, 1:].ravel(), phys[v_high, 1:].ravel())
+        substages[index] = _charged(substages[index], hops)
+    if hops_of is not None:
+        half = np.arange(1, p // 2)
+        for index, flips in skeleton.mirrors:
+            substages[index] = _charged(substages[index], _metric_hops(
+                hops_of, phys[flips[:, None], half].ravel(),
+                phys[flips[:, None], p - half].ravel()))
     output_order = tuple(phys[:, 1:].ravel().tolist())
     return CompiledSchedule(n=n, output_order=output_order, substages=tuple(substages))

@@ -147,6 +147,19 @@ def _cx_program_step(proc: Proc, block: np.ndarray, partner: int, i_am_low: bool
     return merged
 
 
+def _mirror_program_step(proc: Proc, block: np.ndarray, partner: int, tag: int):
+    """Generator fragment: one Step-8 mirror swap of whole blocks with
+    ``partner``.  Returns the partner's block.  The pair is counted once,
+    on its lower-addressed rank."""
+    yield proc.send(partner, payload=block, size=int(block.size), tag=tag)
+    block = np.asarray((yield proc.recv(src=partner, tag=tag)))
+    if proc.obs.enabled:
+        proc.obs.metrics.inc("sort.messages")
+        if proc.rank < partner:
+            proc.obs.metrics.inc("sort.mirror.pairs")
+    return block
+
+
 def _rank_ops(schedule: SortSchedule) -> dict[int, list[tuple[int, tuple]]]:
     """Each working rank's part of ``schedule``: ``(substage index, op)``
     in execution order, where ``op`` is ``("cx", partner, i_am_low,
@@ -199,14 +212,7 @@ def _make_program(schedule: SortSchedule, blocks: dict[int, np.ndarray], kernels
                     proc, block, partner, i_am_low, keep_min, tag_base=idx * 4
                 )
             else:
-                _, partner = op
-                yield proc.send(partner, payload=block, size=int(block.size),
-                                tag=idx * 4)
-                block = np.asarray((yield proc.recv(src=partner, tag=idx * 4)))
-                if proc.obs.enabled:
-                    proc.obs.metrics.inc("sort.messages")
-                    if proc.rank < partner:
-                        proc.obs.metrics.inc("sort.mirror.pairs")
+                block = yield from _mirror_program_step(proc, block, op[1], tag=idx * 4)
         blocks[proc.rank] = block
 
     return program

@@ -29,7 +29,12 @@ from repro.comm.ftcollect import fault_free_bfs_tree, tree_gather, tree_scatter
 from repro.core.blocks import pad_and_chunk, strip_padding
 from repro.core.ftsort import fault_tolerant_sort
 from repro.core.schedule import SortSchedule
-from repro.core.spmd_sort import _cx_program_step, _rank_ops, _schedule_for
+from repro.core.spmd_sort import (
+    _cx_program_step,
+    _mirror_program_step,
+    _rank_ops,
+    _schedule_for,
+)
 from repro.cube.address import hamming_distance, validate_address, validate_dimension
 from repro.faults.detect import DetectionRecord, OnlineDiagnoser
 from repro.faults.model import FaultKind, FaultSet
@@ -153,10 +158,8 @@ def sort_session(
                     proc, block, partner, i_am_low, keep_min, tag_base=1000 + idx * 4
                 )
             else:
-                _, partner = op
-                yield proc.send(partner, payload=block, size=int(block.size),
-                                tag=1000 + idx * 4)
-                block = np.asarray((yield proc.recv(src=partner, tag=1000 + idx * 4)))
+                block = yield from _mirror_program_step(proc, block, op[1],
+                                                        tag=1000 + idx * 4)
         t_after_sort = proc.clock
         checkpoints[proc.rank] = (t_after_scatter, t_after_sort)
 

@@ -18,10 +18,16 @@ planning-pipeline consumer:
 * ``nominal`` — the chaos campaign's nominal run duration per scenario
   statics (the denominator every arrival fraction is scaled by);
 * ``compiled`` — :class:`~repro.core.schedule.CompiledSchedule`
-  programs for the ``--kernels compiled`` tier, built straight from the
-  plan and keyed like the plan's schedule plus the fault set only when
-  the hop metric is fault-dependent (detour routing) — fault sets that
-  resolve to the same plan share one program.
+  programs for the phase engine, one per plan, keyed like the plan's
+  schedule plus the fault set only when the hop metric is
+  fault-dependent (detour routing) — fault sets that resolve to the same
+  plan share one program.  A program owns only its output order and the
+  hop counts of its inter-subcube pairs (under detour routing, of its
+  mirror pairs too); everything else is its skeleton's;
+* ``skeleton`` — the part of a program fixed by ``(n, m, step8)`` (or
+  ``n`` and whether there is a fault, for the plain sort): every row
+  array, label and neighbor substage, built once and shared by every
+  program bound to it (see :mod:`repro.core.schedule`).
 
 Everything cached is either immutable (frozen dataclasses, tuples, floats)
 or treated as read-only by every consumer (the distance dicts).  Cache-on
@@ -53,12 +59,13 @@ __all__ = [
     "cached_compiled_program",
     "cached_ft_schedule",
     "cached_plain_schedule",
+    "cached_program_skeleton",
     "cached_route_table",
     "plan_with_cache",
 ]
 
 # ``canon`` is never written; benchmarks/e2e/workloads.py still reads its misses.
-_SECTIONS = ("plan", "canon", "sched", "routes", "nominal", "compiled")
+_SECTIONS = ("plan", "canon", "sched", "routes", "nominal", "compiled", "skeleton")
 
 
 class PlanCache:
@@ -275,6 +282,18 @@ def cached_compiled_program(kind: str, key: tuple, faults, build):
     """
     full_key = (kind,) + tuple(key) + (faults if faults.may_detour else None,)
     return PLAN_CACHE.memo("compiled", full_key, build)
+
+
+def cached_program_skeleton(key: tuple, build):
+    """Memoized fault-independent part of a compiled program.
+
+    ``key`` is ``("ft", n, m, full_sort)`` or ``("plain", n, has_fault)``:
+    everything a program holds but its output order and its inter-subcube
+    hop counts is fixed by it (:mod:`repro.core.schedule`).  ``build``
+    makes the skeleton on a miss; its arrays are read-only and shared by
+    every program bound to it.
+    """
+    return PLAN_CACHE.memo("skeleton", key, build)
 
 
 def cached_route_table(faults: FaultSet, src: int, compute):

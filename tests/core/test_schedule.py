@@ -22,6 +22,8 @@ from repro.cube.address import hamming_distance
 from repro.faults.inject import random_faulty_processors
 from repro.faults.linkplan import absorb_link_faults
 from repro.faults.model import FaultKind, FaultSet
+from repro.plancache import PLAN_CACHE
+from repro.plancache.cache import cached_program_skeleton
 from repro.simulator.phases import PhaseMachine
 
 PAPER_FAULTS = [3, 5, 16, 24]
@@ -240,14 +242,30 @@ def assert_same_program(direct: CompiledSchedule, reference: CompiledSchedule) -
         assert type(got.uniform_hops) is type(want.uniform_hops), got.label
 
 
-def _ft_case(fault_set: FaultSet, full_sort: bool = False):
+def _ft_case(fault_set: FaultSet, full_sort: bool = False, metric: bool = True):
     """``(direct, reference)`` programs for a fault set's plan, with the
-    hop metric a compiled sort under that fault set uses."""
+    machine's hop metric (detouring under total and link faults) or, with
+    ``metric=False``, none (Hamming distances)."""
     n = fault_set.n
     _, sel = plan_partition(n, fault_set)
-    hops = PhaseMachine(n, faults=fault_set).hops
+    hops = PhaseMachine(n, faults=fault_set).hops if metric else None
     return (build_ft_program(sel, hops, full_sort=full_sort),
             lower_schedule(build_ft_schedule(sel, full_sort=full_sort), hops))
+
+
+def _moved(fault_set: FaultSet, shift: int, perm=None) -> FaultSet:
+    """``fault_set`` moved by the cube automorphism ``x -> perm(x XOR
+    shift)``: another plan with the same ``(n, m)``, which the builder binds
+    to the skeleton of ``fault_set``'s plan."""
+    n = fault_set.n
+    perm = range(n) if perm is None else perm
+
+    def move(x: int) -> int:
+        x ^= shift % (1 << n)
+        return sum(((x >> k) & 1) << perm[k] for k in range(n))
+
+    return FaultSet(n, [move(a) for a in fault_set.processors], kind=fault_set.kind,
+                    links=[(move(a), move(a | (1 << d))) for a, d in fault_set.links])
 
 
 @st.composite
@@ -278,25 +296,55 @@ class TestDirectBuilders:
     """``build_*_program`` equal the object route, array for array."""
 
     @settings(max_examples=60, deadline=None)
-    @given(fault_set=_processor_faults(), full_sort=st.booleans())
-    def test_ft_program_matches_object_route(self, fault_set, full_sort):
+    @given(fault_set=_processor_faults(), full_sort=st.booleans(), metric=st.booleans(),
+           data=st.data())
+    def test_ft_program_matches_object_route(self, fault_set, full_sort, metric, data):
         assume(fault_set.satisfies_paper_model())
-        assert_same_program(*_ft_case(fault_set, full_sort))
+        twin = _moved(fault_set, data.draw(st.integers(min_value=1)),
+                      data.draw(st.permutations(range(fault_set.n))))
+        for plan in (fault_set, twin):
+            assert_same_program(*_ft_case(plan, full_sort, metric))
 
     @settings(max_examples=30, deadline=None)
     @example(fault_set=absorb_link_faults(
-        FaultSet(4, [3], kind=FaultKind.PARTIAL, links=[(9, 13), (0, 1)])), full_sort=False)
-    @given(fault_set=_link_faults(), full_sort=st.booleans())
-    def test_ft_program_matches_object_route_with_link_faults(self, fault_set, full_sort):
+        FaultSet(4, [3], kind=FaultKind.PARTIAL, links=[(9, 13), (0, 1)])), full_sort=False,
+        metric=True, shift=5)
+    @given(fault_set=_link_faults(), full_sort=st.booleans(), metric=st.booleans(),
+           shift=st.integers(min_value=1, max_value=7))
+    def test_ft_program_matches_object_route_with_link_faults(self, fault_set, full_sort,
+                                                              metric, shift):
         assume(fault_set.r >= 2 and fault_set.satisfies_paper_model())
         n = fault_set.n
-        _, sel = plan_partition(n, fault_set)
-        hops = PhaseMachine(n, faults=fault_set).hops
-        try:
-            reference = lower_schedule(build_ft_schedule(sel, full_sort=full_sort), hops)
-        except ValueError:  # the faults cut some pair off from each other
-            assume(False)
-        assert_same_program(build_ft_program(sel, hops, full_sort=full_sort), reference)
+        for plan in (fault_set, _moved(fault_set, shift)):
+            _, sel = plan_partition(n, plan)
+            hops = PhaseMachine(n, faults=plan).hops if metric else None
+            try:
+                reference = lower_schedule(build_ft_schedule(sel, full_sort=full_sort), hops)
+            except ValueError:  # the faults cut some pair off from each other
+                assume(False)
+            assert_same_program(build_ft_program(sel, hops, full_sort=full_sort), reference)
+
+    def test_plans_with_equal_m_share_one_skeleton(self, monkeypatch):
+        """Two Q10 plans with the same m: the second program is the first
+        one's substages, except that its inter-subcube substages are
+        charged anew over the skeleton's own row arrays."""
+        monkeypatch.setattr(PLAN_CACHE, "enabled", True)
+        first_sel, second_sel = (plan_partition(10, FaultSet(10, faults))[1]
+                                 for faults in ([3, 9, 300], [17, 40, 1000]))
+        assert first_sel.m == second_sel.m
+        first, second = (build_ft_program(sel) for sel in (first_sel, second_sel))
+        skeleton = cached_program_skeleton(("ft", 10, first_sel.m, False),
+                                           lambda: pytest.fail("skeleton not cached"))
+        assert first.output_order != second.output_order
+        inter = 0
+        for a, b, template in zip(first.substages, second.substages, skeleton.substages):
+            if a.label.startswith("inter"):
+                inter += 1
+                assert b is not a and b.hops is not a.hops
+                assert b.a_rows is template.a_rows and b.b_rows is template.b_rows
+            else:
+                assert b is a is template
+        assert inter == first_sel.m * (first_sel.m + 1) // 2
 
     @pytest.mark.parametrize("n", range(9))
     def test_plain_program_matches_object_route(self, n):

@@ -9,6 +9,7 @@ from repro.core.spmd_sort import spmd_fault_tolerant_sort
 from repro.faults.inject import random_faulty_processors
 from repro.faults.model import FaultKind, FaultSet
 from repro.host import sort_session
+from repro.obs import Tracer
 
 from tests.conftest import assert_sorted_output
 
@@ -66,6 +67,22 @@ class TestSortSession:
         s = sort_session(keys, 4, faults)
         pure = spmd_fault_tolerant_sort(keys, 4, faults)
         np.testing.assert_array_equal(s.sorted_keys, pure.sorted_keys)
+
+    def test_sort_counters_match_pure_spmd_sort(self, rng):
+        # The paper's plan has Step-8 mirror swaps: the session counts
+        # them (and their messages) as the SPMD engine does.
+        keys = rng.random(240)
+        faults = [3, 5, 16, 24]
+        tracers = Tracer(), Tracer()
+        sort_session(keys, 5, faults, obs=tracers[0])
+        spmd_fault_tolerant_sort(keys, 5, faults, obs=tracers[1])
+        session, pure = (
+            {name: c.value for name, c in t.metrics.counters.items()
+             if name.startswith("sort.")}
+            for t in tracers
+        )
+        assert pure["sort.mirror.pairs"] > 0
+        assert session == pure
 
     def test_distribution_scales_with_keys(self, rng):
         small = sort_session(rng.random(24), 4, [3]).distribution_time

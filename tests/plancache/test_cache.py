@@ -100,12 +100,13 @@ class TestCompiledTierFootprint:
     def _entries(section: str) -> int:
         return sum(1 for sec, _ in list(PLAN_CACHE._store) if sec == section)
 
-    @pytest.mark.parametrize("plans", [
-        [(3, []), (4, [])],
-        [(4, [5]), (4, [6])],
-        [(4, [3, 9, 14]), (5, [3, 5, 16, 24])],
+    @pytest.mark.parametrize("plans,skeletons", [
+        ([(3, []), (4, [])], 2),
+        ([(4, [5]), (4, [6])], 1),
+        ([(4, [3, 9, 14]), (5, [3, 5, 16, 24])], 2),
     ], ids=["r0", "r1", "r>=2"])
-    def test_one_compiled_entry_per_new_plan_and_no_schedule(self, monkeypatch, plans):
+    def test_one_compiled_entry_per_new_plan_and_no_schedule(self, monkeypatch, plans,
+                                                             skeletons):
         monkeypatch.setattr(PLAN_CACHE, "enabled", True)
         PLAN_CACHE.clear()
         sched_misses = PLAN_CACHE.stats()["misses"]["sched"]
@@ -115,6 +116,8 @@ class TestCompiledTierFootprint:
             assert self._entries("compiled") == min(count + 1, len(plans))
         assert PLAN_CACHE.stats()["misses"]["sched"] == sched_misses
         assert self._entries("sched") == 0
+        # One skeleton per (n, m) or (n, has_fault): both r = 1 plans share one.
+        assert self._entries("skeleton") == skeletons
 
     @pytest.mark.parametrize("route", ["loop", "interpreted"])
     @pytest.mark.parametrize("n,faults", [(4, []), (4, [5]), (5, [3, 5, 16, 24])],
@@ -140,9 +143,27 @@ class TestCompiledTierFootprint:
         monkeypatch.setattr(PLAN_CACHE, "enabled", True)
         PLAN_CACHE.clear()
         hits = PLAN_CACHE.stats()["hits"]["compiled"]
+        skeleton_misses = PLAN_CACHE.stats()["misses"]["skeleton"]
         keys = np.random.default_rng(4).random(100)
         for step8 in ("two-merge", "full-sort", "two-merge", "full-sort"):
             fault_tolerant_sort(keys, 5, [3, 5, 16, 24], step8=step8)
         assert self._entries("compiled") == 2
         assert PLAN_CACHE.stats()["hits"]["compiled"] == hits + 2
         assert self._entries("sched") == 0
+
+        # A second plan with the same (n, m), XOR-moved: a program of its
+        # own in each mode, bound to the same two skeletons, and equal to
+        # the program a cache-off sort builds from scratch.
+        twin = [a ^ 1 for a in (3, 5, 16, 24)]
+        warm = {step8: fault_tolerant_sort(keys, 5, twin, step8=step8)
+                for step8 in ("two-merge", "full-sort")}
+        assert self._entries("compiled") == 4
+        assert self._entries("skeleton") == 2
+        assert PLAN_CACHE.stats()["misses"]["skeleton"] == skeleton_misses + 2
+        monkeypatch.setattr(PLAN_CACHE, "enabled", False)
+        for step8, on in warm.items():
+            off = fault_tolerant_sort(keys, 5, twin, step8=step8)
+            np.testing.assert_array_equal(off.sorted_keys, on.sorted_keys)
+            assert (off.elapsed, off.output_order) == (on.elapsed, on.output_order)
+            assert [vars(rec) for rec in off.machine.phases] == [
+                vars(rec) for rec in on.machine.phases]
