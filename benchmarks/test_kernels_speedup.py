@@ -13,6 +13,8 @@ The headline measurements from the PERFORMANCE.md contract:
 * the compiled tier's sorted-rows compare-split against its selection
   compare-split, across block sizes from 17 to 515 keys and on
   lib-manyproc's shape (``n = 14``, 17-key blocks);
+* several sorts bound to one program skeleton run as one executor call
+  versus one call each (``n = 6``, 2,048 keys, batches of 1, 2 and 8);
 * building a fresh plan's compiled program straight from the plan versus
   building and lowering its per-pair schedule objects, and binding a
   second plan to the first one's cached skeleton (``n = 10``, ``r = 5``
@@ -301,6 +303,69 @@ class TestSmallBlockRegime:
         })
         assert all(row["parity"] for row in rows), (
             "the two compare-split regimes diverged")
+
+
+class TestBatchedJobs:
+    """Sorts whose programs are bound to one skeleton, one executor call
+    for all of them versus one call each.
+
+    The shape is the service benchmark's small jobs: 2,048 keys on Q6,
+    fault sets drawn from a seeded catalog of 40 three-fault sets, all of
+    which cut Q6 into four subcubes (m = 2), so every batch is one group
+    of 35-key blocks.  The plan cache is warm on both sides, as it is in
+    a serving process.
+    """
+
+    N, KEYS, CATALOG, SIZES = 6, 2048, 40, (1, 2, 8)
+
+    def test_batched_vs_sequential(self, fast_mode, bench_json):
+        from repro.core.ftsort import fault_tolerant_sort_batch
+
+        rng = np.random.default_rng(SEED)
+        catalog: list[tuple[int, ...]] = []
+        while len(catalog) < self.CATALOG:
+            faults = tuple(sorted(int(a) for a in
+                                  rng.choice(1 << self.N, size=3, replace=False)))
+            if faults not in catalog:
+                catalog.append(faults)
+        reps = 15 if fast_mode else 100
+        rows = []
+        for size in self.SIZES:
+            requests = [(rng.integers(0, 10**6, self.KEYS).astype(float), self.N,
+                         list(catalog[int(rng.integers(self.CATALOG))]))
+                        for _ in range(size)]
+
+            def sequential():
+                return [fault_tolerant_sort(keys, n, faults) for keys, n, faults in requests]
+
+            def batched():
+                return fault_tolerant_sort_batch(requests)
+
+            parity = all(
+                one.sorted_keys.tobytes() == both.sorted_keys.tobytes()
+                and one.elapsed == both.elapsed and _records(one) == _records(both)
+                for one, both in zip(sequential(), batched()))
+            best = {sequential: float("inf"), batched: float("inf")}
+            for rep in range(reps):
+                for fn in ((sequential, batched) if rep % 2 == 0 else (batched, sequential)):
+                    t0 = time.perf_counter()
+                    fn()
+                    best[fn] = min(best[fn], time.perf_counter() - t0)
+            rows.append({
+                "jobs": size, "sequential_seconds": best[sequential],
+                "batched_seconds": best[batched],
+                "speedup": best[sequential] / best[batched], "parity": bool(parity),
+                "fast_mode": fast_mode,
+            })
+            print(f"\n{size} jobs: sequential {best[sequential] / size * 1e3:.3f}ms vs "
+                  f"batched {best[batched] / size * 1e3:.3f}ms per job "
+                  f"({rows[-1]['speedup']:.2f}x)")
+        bench_json("kernels", "batched_jobs", {
+            "n": self.N, "keys": self.KEYS, "catalog": self.CATALOG,
+            "rows": rows, "fast_mode": fast_mode,
+        })
+        assert all(row["parity"] for row in rows), (
+            "a batched sort diverged from its own call")
 
 
 def _same_program(a, b) -> bool:

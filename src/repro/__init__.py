@@ -32,6 +32,7 @@ from repro.core import (
     build_plain_schedule,
     fault_free_bitonic_sort,
     fault_tolerant_sort,
+    fault_tolerant_sort_batch,
     find_min_cuts,
     paper_worst_case_time,
     plan_partition,
@@ -65,6 +66,7 @@ __all__ = [
     "build_plain_schedule",
     "fault_free_bitonic_sort",
     "fault_tolerant_sort",
+    "fault_tolerant_sort_batch",
     "find_min_cuts",
     "max_fault_free_subcube",
     "max_subcube_sort",

@@ -26,7 +26,12 @@ from repro.core.selection import (
     select_cut_sequence,
 )
 from repro.core.single_fault import single_fault_bitonic_sort, fault_free_bitonic_sort
-from repro.core.ftsort import FtSortResult, fault_tolerant_sort, plan_partition
+from repro.core.ftsort import (
+    FtSortResult,
+    fault_tolerant_sort,
+    fault_tolerant_sort_batch,
+    plan_partition,
+)
 from repro.core.schedule import (
     SortSchedule,
     build_ft_schedule,
@@ -68,6 +73,7 @@ __all__ = [
     "extra_comm_cost",
     "fault_free_bitonic_sort",
     "fault_tolerant_sort",
+    "fault_tolerant_sort_batch",
     "find_min_cuts",
     "is_single_fault_partition",
     "max_dangling_bound",

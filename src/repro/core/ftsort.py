@@ -27,6 +27,12 @@ whole-array operations; the ``loop`` spec, and any sort with a phase
 observer, walk it pair by pair
 (:func:`repro.core.single_fault.run_program_interpreted`).
 
+:func:`fault_tolerant_sort_batch` sorts several key sets, each on its own
+faulty cube.  It plans each request as :func:`fault_tolerant_sort` does
+(:func:`plan_sort`) and runs the requests whose programs are bound to one
+skeleton as one executor call (:func:`run_planned`); each result equals
+the request's own :func:`fault_tolerant_sort`.
+
 Communication cost honesty: corresponding reindexed processors are
 generally *not* physical neighbors — the detour equals the Hamming distance
 of the two subcubes' dead-``w`` addresses plus one (the cut dimension).
@@ -44,22 +50,26 @@ import numpy as np
 
 from repro.core.partition import PartitionResult, find_min_cuts
 from repro.core.selection import SelectionResult, select_cut_sequence
-from repro.core.schedule import build_ft_program
-from repro.core.single_fault import (
-    SingleFaultSortResult,
-    fault_free_bitonic_sort,
-    run_program,
-    single_fault_bitonic_sort,
-)
+from repro.core.schedule import CompiledSchedule, build_ft_program
+from repro.core.single_fault import emit_cube_steps, plain_program_machine, run_program
 from repro.cube.address import validate_dimension
 from repro.faults.linkplan import absorb_link_faults
 from repro.faults.model import FaultKind, FaultSet
-from repro.obs.spans import NULL_TRACER, PID_SIM, TID_ALGO
+from repro.obs.spans import PID_SIM, TID_ALGO
 from repro.simulator.params import MachineParams
 from repro.simulator.phases import PhaseMachine
 from repro.kernels import resolve_backend
+from repro.kernels.compiled import program_machine
 
-__all__ = ["FtSortResult", "fault_tolerant_sort", "plan_partition"]
+__all__ = [
+    "FtSortResult",
+    "PlannedSort",
+    "fault_tolerant_sort",
+    "fault_tolerant_sort_batch",
+    "plan_partition",
+    "plan_sort",
+    "run_planned",
+]
 
 
 def plan_partition(
@@ -128,18 +138,6 @@ class FtSortResult:
     def working_processors(self) -> int:
         """Number of processors that held keys."""
         return len(self.output_order)
-
-
-def _wrap_simple(res: SingleFaultSortResult, partition: PartitionResult | None) -> FtSortResult:
-    return FtSortResult(
-        sorted_keys=res.sorted_keys,
-        elapsed=res.elapsed,
-        output_order=res.output_order,
-        machine=res.machine,
-        partition=partition,
-        selection=None,
-        block_size=res.block_size,
-    )
 
 
 def _emit_ft_steps(
@@ -264,6 +262,81 @@ def fault_tolerant_sort(
     Dispatch: ``r = 0`` runs the plain bitonic sort, ``r = 1`` the
     Section-2.1 single-fault sort, ``r >= 2`` the full partition path.
     """
+    kernels = resolve_backend(kernels)
+    planned = plan_sort(keys, n, faults, params=params, fault_kind=fault_kind,
+                        cut_dims=cut_dims, step8=step8, obs=obs)
+    return planned.result(*run_program(planned.machine, planned.program, planned.keys,
+                                       exact_counts=exact_counts, kernels=kernels,
+                                       observer=observer))
+
+
+@dataclass(frozen=True)
+class PlannedSort:
+    """A sort whose Steps 1-2 are done and whose network has not run.
+
+    Attributes:
+        keys: the input keys, as a float array.
+        machine: a fresh phase machine for the sort's faults, cost
+            constants and tracer.
+        program: the plan's compiled program, from the plan cache.
+        partition: the Section-2.2 result; ``None`` when ``r = 0``.
+        selection: the resolved plan; ``None`` when ``r <= 1`` (the sort
+            runs the plain bitonic program).
+    """
+
+    keys: np.ndarray
+    machine: PhaseMachine
+    program: CompiledSchedule
+    partition: PartitionResult | None
+    selection: SelectionResult | None
+
+    @property
+    def group(self) -> tuple:
+        """Sorts with equal groups run as one executor call: their programs
+        are bound to one skeleton, their keys make blocks of one size, and
+        their machines share cost constants."""
+        return (id(self.program.skeleton), -(-self.keys.size // self.program.workers),
+                self.machine.params)
+
+    def result(self, sorted_keys, machine, block_size, program) -> FtSortResult:
+        """The :class:`FtSortResult` of a finished run of this sort; records
+        the step spans on the machine's tracer."""
+        if machine.obs.enabled:
+            if self.selection is None:
+                emit_cube_steps(machine, int(self.keys.size))
+            else:
+                machine.obs.name_thread(TID_ALGO, "algorithm steps", pid=PID_SIM)
+                _emit_ft_steps(machine.obs, machine, self.selection, self.partition,
+                               keys_count=int(self.keys.size),
+                               workers=program.workers, block_size=block_size)
+        return FtSortResult(
+            sorted_keys=sorted_keys,
+            elapsed=machine.elapsed,
+            output_order=program.output_order,
+            machine=machine,
+            partition=self.partition,
+            selection=self.selection,
+            block_size=block_size,
+        )
+
+
+def plan_sort(
+    keys: np.ndarray | list,
+    n: int,
+    faults: FaultSet | list[int] | tuple[int, ...],
+    params: MachineParams | None = None,
+    fault_kind: FaultKind = FaultKind.PARTIAL,
+    cut_dims: tuple[int, ...] | None = None,
+    step8: str = "two-merge",
+    obs=None,
+) -> PlannedSort:
+    """Steps 1-2 of :func:`fault_tolerant_sort`, which runs this first.
+
+    Validates the fault set, plans the partition (``r >= 2``), fetches
+    the plan's program from the plan cache and makes the machine that
+    runs it; the arguments are :func:`fault_tolerant_sort`'s.  ``r = 0``
+    and ``r = 1`` plan the plain bitonic program (Section 2.1).
+    """
     validate_dimension(n)
     if step8 not in ("two-merge", "full-sort"):
         raise ValueError(f"step8 must be 'two-merge' or 'full-sort', got {step8!r}")
@@ -283,45 +356,72 @@ def fault_tolerant_sort(
             f"{fault_set.r} faults on Q_{n} violate the paper's model "
             "(r <= n-1, or no normal processor fully surrounded by faults)"
         )
-    r = fault_set.r
-    obs = obs if obs is not None else NULL_TRACER
-    kernels = resolve_backend(kernels)
-
-    if r == 0:
-        return _wrap_simple(
-            fault_free_bitonic_sort(keys, n, params, exact_counts, obs=obs,
-                                    kernels=kernels, observer=observer),
-            None,
-        )
-    if r == 1:
-        partition = find_min_cuts(n, fault_set)
-        res = single_fault_bitonic_sort(
-            keys, n, fault_set.processors[0], params, exact_counts, obs=obs,
-            kernels=kernels, observer=observer,
-        )
-        return _wrap_simple(res, partition)
+    keys = np.asarray(keys, dtype=float)
+    if fault_set.r <= 1:
+        faulty = fault_set.processors[0] if fault_set.r else None
+        partition = find_min_cuts(n, fault_set) if fault_set.r else None
+        machine, program = plain_program_machine(n, faulty, params, obs)
+        return PlannedSort(keys, machine, program, partition, None)
 
     partition, selection = plan_partition(n, fault_set, cut_dims=cut_dims)
     full_sort = step8 == "full-sort"
-    sorted_keys, machine, block_size, program = run_program(
-        partial(build_ft_program, selection, full_sort=full_sort),
-        keys, fault_set,
+    machine, program = program_machine(
+        partial(build_ft_program, selection, full_sort=full_sort), fault_set,
         cache_kind="ft-full-sort" if full_sort else "ft",
         cache_key=(selection.n, selection.cut_dims, selection.dead_of_subcube),
-        params=params, obs=obs, exact_counts=exact_counts, kernels=kernels,
-        observer=observer,
+        params=params, obs=obs,
     )
-    if obs.enabled:
-        obs.name_thread(TID_ALGO, "algorithm steps", pid=PID_SIM)
-        _emit_ft_steps(obs, machine, selection, partition,
-                       keys_count=int(np.asarray(keys).size),
-                       workers=program.workers, block_size=block_size)
-    return FtSortResult(
-        sorted_keys=sorted_keys,
-        elapsed=machine.elapsed,
-        output_order=program.output_order,
-        machine=machine,
-        partition=partition,
-        selection=selection,
-        block_size=block_size,
-    )
+    return PlannedSort(keys, machine, program, partition, selection)
+
+
+def run_planned(sorts: list[PlannedSort]) -> list[FtSortResult]:
+    """Run planned sorts on the schedule executor, one call per
+    :attr:`PlannedSort.group`; returns their results in order.
+
+    A call runs its sorts' key matrices stacked, one probe, gather,
+    compare-split and scatter per substage for all of them
+    (:func:`repro.kernels.compiled.run_schedule_compiled`), and each
+    result equals the sort's own :func:`fault_tolerant_sort` in every
+    field.
+    """
+    # Looked up at call time: benchmarks/e2e/layers.py times the executor
+    # by wrapping this module attribute.
+    from repro.kernels import compiled
+
+    groups: dict[tuple, list[int]] = {}
+    for i, planned in enumerate(sorts):
+        groups.setdefault(planned.group, []).append(i)
+    results: list = [None] * len(sorts)
+    for members in groups.values():
+        runs = [(sorts[i].machine, sorts[i].program, sorts[i].keys) for i in members]
+        for i, out in zip(members, compiled.run_schedule_compiled(runs)):
+            results[i] = sorts[i].result(*out)
+    return results
+
+
+def fault_tolerant_sort_batch(requests, kernels=None) -> list[FtSortResult]:
+    """Sort several key sets, each on its own faulty cube.
+
+    Args:
+        requests: ``(keys, n, faults)`` triples, as
+            :func:`fault_tolerant_sort` takes them.
+        kernels: kernel backend (or name); ``None`` = process default.
+
+    Returns:
+        One :class:`FtSortResult` per request, in order; result ``i``
+        equals ``fault_tolerant_sort(keys_i, n_i, faults_i,
+        kernels=kernels)`` in every field.
+
+    On a backend with a schedule executor (``compiled``) every request is
+    planned with :func:`plan_sort`, and requests whose programs are bound
+    to one skeleton with blocks of one size run as one executor call
+    (:func:`run_planned`): after XOR reindexing, Steps 3-8 are one network
+    per ``(n, m, step8)``, and a fault set changes only where rows land
+    and what the pairs' hops cost.  With any other backend each request
+    runs on its own.
+    """
+    kernels = resolve_backend(kernels)
+    if not kernels.schedule_compiled:
+        return [fault_tolerant_sort(keys, n, faults, kernels=kernels)
+                for keys, n, faults in requests]
+    return run_planned([plan_sort(keys, n, faults) for keys, n, faults in requests])

@@ -41,7 +41,7 @@ execution.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -371,11 +371,17 @@ class CompiledSchedule:
     ``t`` is the block of processor ``output_order[t]``; every substage is
     a gather/compute/scatter over that matrix (see
     :func:`repro.kernels.compiled.run_schedule_compiled`).
+
+    ``skeleton`` is the cached skeleton a built program is bound to
+    (``None`` for a lowered one).  Programs bound to one skeleton share
+    every row array, so the executor can stack their key matrices and
+    run them in one pass.
     """
 
     n: int
     output_order: tuple[int, ...]
     substages: tuple[CompiledSubstage, ...]
+    skeleton: object = field(default=None, compare=False, repr=False)
 
     @property
     def workers(self) -> int:
@@ -540,7 +546,8 @@ def build_plain_program(n: int, faulty: int | None = None) -> CompiledSchedule:
                                         lambda: _plain_skeleton(n, dead0))
     mask = faulty or 0
     output_order = tuple(l ^ mask for l in range(int(dead0), 1 << n))
-    return CompiledSchedule(n=n, output_order=output_order, substages=substages)
+    return CompiledSchedule(n=n, output_order=output_order, substages=substages,
+                            skeleton=substages)
 
 
 @dataclass(frozen=True)
@@ -551,15 +558,13 @@ class _FtSkeleton:
     substages: those entries are templates (``hops is None``), listed in
     ``inter`` as ``(index, v_low, v_high)``: pair ``t`` joins processor
     ``rho`` of subcube ``v_low[t // (P - 1)]`` with processor ``rho`` of
-    ``v_high[t // (P - 1)]``, ``rho = t % (P - 1) + 1``.  ``mirrors`` lists
-    the mirror substages as ``(index, flips)``: in each subcube of
-    ``flips``, processor ``rho`` swaps with ``P - rho``.  A mirror's
-    Hamming hops do not depend on the plan and are in place.
+    ``v_high[t // (P - 1)]``, ``rho = t % (P - 1) + 1``.  A mirror pair's
+    hops do not depend on the plan (see :func:`build_ft_program`) and are
+    in place.
     """
 
     substages: tuple[CompiledSubstage, ...]
     inter: tuple[tuple[int, np.ndarray, np.ndarray], ...]
-    mirrors: tuple[tuple[int, np.ndarray], ...]
 
 
 def _ft_skeleton(n: int, m: int, full_sort: bool) -> _FtSkeleton:
@@ -578,7 +583,6 @@ def _ft_skeleton(n: int, m: int, full_sort: bool) -> _FtSkeleton:
     no_bit = np.zeros(vs.size, dtype=np.int64)
     substages: list[CompiledSubstage] = []
     inter: list[tuple[int, np.ndarray, np.ndarray]] = []
-    mirrors: list[tuple[int, np.ndarray]] = []
 
     def intra_sort(label: str, ascending: np.ndarray) -> None:
         for i in range(s):
@@ -630,7 +634,6 @@ def _ft_skeleton(n: int, m: int, full_sort: bool) -> _FtSkeleton:
                     _neighbor_substage(f"intra[i={i},j={j}]a[j={jj}]", a, b))
             flips = vs[kept_min != ascending]
             if flips.size:
-                mirrors.append((len(substages), flips))
                 substages.append(_substage(
                     f"intra[i={i},j={j}]b", "mirror",
                     rows[flips[:, None], half].ravel(),
@@ -639,7 +642,7 @@ def _ft_skeleton(n: int, m: int, full_sort: bool) -> _FtSkeleton:
                 ))
     if not ascending.all():
         raise AssertionError("final orientation must be ascending everywhere")
-    return _FtSkeleton(tuple(substages), tuple(inter), tuple(mirrors))
+    return _FtSkeleton(tuple(substages), tuple(inter))
 
 
 def build_ft_program(
@@ -659,8 +662,14 @@ def build_ft_program(
     dimension and in ``dead_w[v] XOR dead_w[v XOR 2**j]``, whatever
     ``rho``, so without a metric (``hops_of=None``: the Hamming distance)
     all ``P - 1`` pairs of two subcubes are charged ``1 + h``, ``h`` being
-    their term of Eq. (1).  ``hops_of`` is the routing metric of :func:`lower_schedule`:
-    with one, inter-subcube and mirror pairs are charged pair by pair.
+    their term of Eq. (1).  ``hops_of`` is the routing metric of
+    :func:`lower_schedule`: with one, inter-subcube pairs are charged pair
+    by pair.  Mirror pairs keep the skeleton's Hamming hops under any
+    metric, because no route between them detours: processors ``rho`` and
+    ``P - rho`` share a set bit (two numbers below ``P`` with no common
+    bit add up to less than ``P``), so no shortest path between them
+    passes the subcube's dead processor at reindexed 0, and every faulty
+    link of a plan touches a faulty processor.
 
     Step 8 re-sorts every subcube in its target direction (ascending iff
     ``v_{j-1} == mask``).  ``full_sort`` runs the literal
@@ -707,11 +716,6 @@ def build_ft_program(
         else:
             hops = _metric_hops(hops_of, phys[v_low, 1:].ravel(), phys[v_high, 1:].ravel())
         substages[index] = _charged(substages[index], hops)
-    if hops_of is not None:
-        half = np.arange(1, p // 2)
-        for index, flips in skeleton.mirrors:
-            substages[index] = _charged(substages[index], _metric_hops(
-                hops_of, phys[flips[:, None], half].ravel(),
-                phys[flips[:, None], p - half].ravel()))
     output_order = tuple(phys[:, 1:].ravel().tolist())
-    return CompiledSchedule(n=n, output_order=output_order, substages=tuple(substages))
+    return CompiledSchedule(n=n, output_order=output_order, substages=tuple(substages),
+                            skeleton=skeleton)

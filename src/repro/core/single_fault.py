@@ -32,7 +32,7 @@ from repro.cube.address import validate_address, validate_dimension
 from repro.faults.model import FaultSet
 from repro.kernels import resolve_backend
 from repro.kernels.compiled import program_machine
-from repro.obs.spans import NULL_TRACER, PID_SIM, TID_ALGO
+from repro.obs.spans import PID_SIM, TID_ALGO
 from repro.simulator.params import MachineParams
 from repro.simulator.phases import PhaseMachine
 from repro.sorting.bitonic_cube import run_exchange_jobs
@@ -109,38 +109,28 @@ def local_sort_blocks(
                 machine.charge_compute(addr, int(counts[t]))
 
 
-def run_program_interpreted(
-    build_program,
-    keys,
-    faults: FaultSet,
-    cache_kind: str,
-    cache_key: tuple,
-    params: MachineParams | None = None,
-    obs=None,
-    exact_counts: bool = False,
-    kernels=None,
-    observer=None,
-):
-    """Run the plan's compiled program pair by pair on a phase machine.
+def run_program_interpreted(machine: PhaseMachine, program, keys, exact_counts: bool = False,
+                            kernels=None, observer=None):
+    """Run a compiled program pair by pair on its phase machine.
 
-    The executable spec of what
+    ``machine`` and ``program`` are as
+    :func:`~repro.kernels.compiled.program_machine` makes and fetches
+    them.  The executable spec of what
     :func:`repro.kernels.compiled.run_schedule_compiled` does with the same
-    arguments and the same cached program: Step 3's local sorts through
-    :func:`local_sort_blocks`, then one machine phase per substage, whose
-    ``cx`` pairs go to :func:`run_exchange_jobs` with the min-keeper first
-    and whose ``mirror`` pairs swap whole blocks, each pair charged over
-    the program's hops.  The min-keeper takes the ceiling half of every
+    run: Step 3's local sorts through :func:`local_sort_blocks`, then one
+    machine phase per substage, whose ``cx`` pairs go to
+    :func:`run_exchange_jobs` with the min-keeper first and whose
+    ``mirror`` pairs swap whole blocks, each pair charged over the
+    program's hops.  The min-keeper takes the ceiling half of every
     exchange; each node is in one pair per phase and a phase lasts as long
     as its slowest node, so which endpoint takes it cannot move a clock or
     a counter.
 
     ``kernels`` executes the block kernels (``None`` = process default);
     ``observer`` is called as ``observer(machine, record)`` after every
-    phase.  Returns what :func:`run_schedule_compiled` returns:
+    phase.  Returns what one run of :func:`run_schedule_compiled` returns:
     ``(sorted_keys, machine, block_size, program)``.
     """
-    machine, program = program_machine(build_program, faults, cache_kind, cache_key,
-                                       params=params, obs=obs)
     machine.on_phase_end = observer
     order = program.output_order
     keys_arr = np.asarray(keys, dtype=float)
@@ -167,25 +157,48 @@ def run_program_interpreted(
     return strip_padding(gathered, int(keys_arr.size)), machine, block_size, program
 
 
-def run_program(build_program, keys, faults: FaultSet, cache_kind: str, cache_key: tuple,
-                params, obs, exact_counts: bool, kernels, observer):
+def run_program(machine: PhaseMachine, program, keys, exact_counts: bool, kernels, observer):
     """The phase engine's one route choice: the compiled backend without a
-    phase observer runs the program on the schedule executor, everything
-    else walks it pair by pair (:func:`run_program_interpreted`).
-    ``kernels`` is a resolved backend.  Both routes return
-    ``(sorted_keys, machine, block_size, program)``.
+    phase observer runs the program on the schedule executor, as a batch
+    of one, everything else walks it pair by pair
+    (:func:`run_program_interpreted`).  ``kernels`` is a resolved backend.
+    Both routes return ``(sorted_keys, machine, block_size, program)``.
     """
     if kernels.schedule_compiled and observer is None:
         # Looked up at call time: benchmarks/e2e/layers.py times the
         # executor by wrapping this module attribute.
-        from repro.kernels.compiled import run_schedule_compiled
+        from repro.kernels import compiled
 
-        return run_schedule_compiled(build_program, keys, faults, cache_kind=cache_kind,
-                                     cache_key=cache_key, params=params, obs=obs,
-                                     exact_counts=exact_counts)
-    return run_program_interpreted(build_program, keys, faults, cache_kind, cache_key,
-                                   params=params, obs=obs, exact_counts=exact_counts,
+        return compiled.run_schedule_compiled(((machine, program, keys),),
+                                              exact_counts=exact_counts)[0]
+    return run_program_interpreted(machine, program, keys, exact_counts=exact_counts,
                                    kernels=kernels, observer=observer)
+
+
+def plain_program_machine(n: int, faulty: int | None, params: MachineParams | None = None,
+                          obs=None):
+    """:func:`~repro.kernels.compiled.program_machine` for the full-cube
+    bitonic sort on ``Q_n`` with dead processor ``faulty`` (or none)."""
+    fault_set = FaultSet(n, () if faulty is None else (faulty,))
+    return program_machine(lambda hops_of: build_plain_program(n, faulty), fault_set,
+                           cache_kind="plain", cache_key=(n, faulty), params=params,
+                           obs=obs)
+
+
+def emit_cube_steps(machine: PhaseMachine, keys_count: int) -> None:
+    """Record the step spans of a finished full-cube sort on its machine's
+    tracer: the local sort, the bitonic network, and the root ``ftsort``
+    span."""
+    obs = machine.obs
+    obs.name_thread(TID_ALGO, "algorithm steps", pid=PID_SIM)
+    t_local = machine.phases[0].duration
+    obs.complete("step3a:local-heapsort", ts=0.0, dur=t_local,
+                 cat="step", pid=PID_SIM, tid=TID_ALGO)
+    obs.complete("step3b:bitonic", ts=t_local, dur=machine.elapsed - t_local,
+                 cat="step", pid=PID_SIM, tid=TID_ALGO)
+    obs.complete("ftsort", ts=0.0, dur=machine.elapsed, cat="step",
+                 pid=PID_SIM, tid=TID_ALGO,
+                 args={"n": machine.n, "r": machine.faults.r, "keys": keys_count})
 
 
 def _run_cube_sort(
@@ -199,23 +212,13 @@ def _run_cube_sort(
     observer=None,
 ) -> SingleFaultSortResult:
     validate_dimension(n)
-    obs = obs if obs is not None else NULL_TRACER
-    fault_set = FaultSet(n, () if faulty is None else (faulty,))
+    machine, program = plain_program_machine(n, faulty, params, obs)
     sorted_keys, machine, block_size, program = run_program(
-        lambda hops_of: build_plain_program(n, faulty), keys, fault_set,
-        cache_kind="plain", cache_key=(n, faulty), params=params, obs=obs,
-        exact_counts=exact_counts, kernels=resolve_backend(kernels), observer=observer,
+        machine, program, keys, exact_counts=exact_counts,
+        kernels=resolve_backend(kernels), observer=observer,
     )
-    if obs.enabled:
-        obs.name_thread(TID_ALGO, "algorithm steps", pid=PID_SIM)
-        t_local = machine.phases[0].duration
-        obs.complete("step3a:local-heapsort", ts=0.0, dur=t_local,
-                     cat="step", pid=PID_SIM, tid=TID_ALGO)
-        obs.complete("step3b:bitonic", ts=t_local, dur=machine.elapsed - t_local,
-                     cat="step", pid=PID_SIM, tid=TID_ALGO)
-        obs.complete("ftsort", ts=0.0, dur=machine.elapsed, cat="step",
-                     pid=PID_SIM, tid=TID_ALGO,
-                     args={"n": n, "r": fault_set.r, "keys": int(np.asarray(keys).size)})
+    if machine.obs.enabled:
+        emit_cube_steps(machine, int(np.asarray(keys).size))
     return SingleFaultSortResult(
         sorted_keys=sorted_keys,
         elapsed=machine.elapsed,

@@ -48,6 +48,14 @@ its own rows and buffer slices, and everything else (the probe, the
 accounting, mirror swaps) stays on the calling thread, so the split
 cannot change an output.
 
+A call takes a job axis: several runs whose programs are bound to one
+skeleton (:attr:`~repro.core.schedule.CompiledSchedule.skeleton`) share
+every row array, so their key matrices are stacked and each substage's
+probe, gather, compare-split and scatter run once for all of them.  A
+fault set changes only where a run's rows land and what its pairs' hops
+cost, never which rows meet, so stacking cannot change an output; the
+clock, the phase records and the counters are kept per run.
+
 Off the executor — the program walker
 (:func:`repro.core.single_fault.run_program_interpreted`, which runs the
 same program pair by pair for sorts with a per-phase ``observer``), the
@@ -325,85 +333,180 @@ def program_machine(build_program, faults, cache_kind: str, cache_key: tuple,
     return machine, program
 
 
-def run_schedule_compiled(
-    build_program,
-    keys,
-    faults,
-    cache_kind: str,
-    cache_key: tuple,
-    params=None,
-    obs=None,
-    exact_counts: bool = False,
-):
-    """Execute a compiled program on ``keys`` as a flat array program.
+class _PhaseCosts(dict):
+    """One call's phase accounting for blocks of ``k`` keys.
+
+    As a mapping, ``hops -> (probe_t, node_t)``, filled on first use:
+    ``probe_t`` is the clock of a node that only probes over ``hops``
+    links, ``node_t`` that of an executed pair's ceil-half node (probe
+    transfer, probe compare, first leg, return leg, merge compute, added
+    in the interpreter's order, so an entry is bit-identical to the sum it
+    replaces).  Every term is non-decreasing in the hop count and IEEE
+    rounding is monotone, so a phase's duration is the clock of its pair
+    with the most hops.
+    """
+
+    def __init__(self, par, k: int):
+        super().__init__()
+        from repro.simulator.phases import PhaseRecord
+
+        self.par = par
+        self.k = k
+        self.record_type = PhaseRecord
+
+    def __missing__(self, hops: int) -> tuple[float, float]:
+        par, k = self.par, self.k
+        first_leg, return_leg = (k + 1) // 2, k // 2
+        probe_t = par.transfer_time(1, hops) + par.t_compare
+        node_t = probe_t + par.transfer_time(first_leg, hops)
+        if return_leg:
+            node_t = node_t + par.transfer_time(return_leg, hops)
+        node_t = node_t + (first_leg + k - 1) * par.t_compare
+        self[hops] = entry = (probe_t, node_t)
+        return entry
+
+    def cx(self, label: str, pairs: int, executed: int, skip_h: int, live_h: int,
+           hop_sum: int, live_hop_sum: int):
+        """One run's record of a cx substage with ``pairs`` pairs,
+        ``executed`` of them past the probe; ``skip_h``/``live_h`` are the
+        most hops of a skipped/executed pair, ``hop_sum``/``live_hop_sum``
+        the hops summed over all/executed pairs."""
+        k = self.k
+        duration = self[skip_h][0] if executed < pairs else 0.0
+        if executed:
+            node_t = self[live_h][1]
+            if node_t > duration:
+                duration = node_t
+        return self.record_type(
+            label,
+            duration,
+            2 * pairs + executed * (k + 2 * (k - 1)),
+            2 * pairs + 2 * k * executed,
+            2 * hop_sum + 2 * k * live_hop_sum,
+            2 * pairs + (4 if k // 2 else 2) * executed,
+        )
+
+    def mirror(self, sub):
+        """One run's record of mirror substage ``sub``."""
+        rec = self.record_type(sub.label)
+        pair_count = int(sub.a_rows.size)
+        k = self.k
+        if pair_count and k > 0:
+            h = sub.uniform_hops
+            # transfer_time is non-decreasing in hops: the slowest swap is
+            # the one over the most hops.
+            rec.duration = self.par.transfer_time(
+                k, h if h is not None else int(sub.hops.max()))
+            hop_sum = pair_count * h if h is not None else int(sub.hops.sum())
+            rec.elements_sent = 2 * k * pair_count
+            rec.element_hops = 2 * k * hop_sum
+            rec.messages = 2 * pair_count
+        return rec
+
+
+def run_schedule_compiled(runs, exact_counts: bool = False):
+    """Execute compiled programs on their keys as one flat array program.
 
     Args:
-        build_program, cache_kind, cache_key: the plan's program, as
-            :func:`program_machine` fetches it: ``build_program`` is a plan
-            bound to :func:`~repro.core.schedule.build_ft_program` or
-            :func:`~repro.core.schedule.build_plain_program`.
-        faults: the run's :class:`~repro.faults.model.FaultSet` (drives the
-            hop metric and the machine's fault bookkeeping).
-        params: machine cost constants (default NCUBE/7).
-        obs: optional tracer; phase spans and the ``sort.*`` /
-            ``phase.*`` counters are emitted with the interpreter's exact
-            semantics.
+        runs: ``B >= 1`` ``(machine, program, keys)`` triples, ``machine``
+            and ``program`` as :func:`program_machine` made and fetched
+            them: the machine carries the run's cost constants, fault set
+            and tracer.  With ``B > 1`` every program must be bound to one
+            skeleton (:attr:`~repro.core.schedule.CompiledSchedule.skeleton`),
+            every run's keys must make blocks of one size and every
+            machine must have the same cost constants.
         exact_counts: charge exact heapsort comparison counts for the local
             sort (via the batched vectorized heapsort) instead of the
             paper's closed-form worst case.
 
+    Programs bound to one skeleton share every row array, so the ``B``
+    runs' ``(W, k)`` key matrices are stacked into one ``(B * W, k)``
+    matrix, run ``b``'s rows offset by ``b * W``, and each substage makes
+    one probe, one gather, one compare-split and one scatter over every
+    run's pairs.  Rows of two runs never meet, so each run's rows go
+    through exactly the operations its own call would make.  Only the
+    accounting is per run: its own phase records, clock, ``sort.*``
+    counters, tracer report, final blocks and ``sorted_keys`` buffer.  A
+    call with one run does no offset arithmetic.
+
     Returns:
-        ``(sorted_keys, machine, block_size, program)``; ``machine`` is a
-        :class:`~repro.simulator.phases.PhaseMachine` carrying the final
-        per-node blocks, the per-phase cost records, and the elapsed clock,
-        exactly as an interpreted run would leave it, and ``program`` is
-        the executed :class:`~repro.core.schedule.CompiledSchedule` (its
+        One ``(sorted_keys, machine, block_size, program)`` per run, in
+        order; ``machine`` carries the final per-node blocks, the
+        per-phase cost records, and the elapsed clock, exactly as an
+        interpreted run would leave it, and ``program`` is the executed
+        :class:`~repro.core.schedule.CompiledSchedule` (its
         ``output_order`` places the result).
     """
     from repro.core.blocks import pad_and_chunk, strip_padding
-    from repro.simulator.phases import PhaseRecord
 
-    machine, program = program_machine(build_program, faults, cache_kind, cache_key,
-                                       params=params, obs=obs)
+    batch = len(runs)
+    machine, program, _ = runs[0]
     par = machine.params
     t_compare = par.t_compare
-
-    keys_arr = np.asarray(keys, dtype=float)
-    key_matrix, block = pad_and_chunk(keys_arr, program.workers)
-    k = int(block)
-    obs_on = machine.obs.enabled
+    workers = program.workers
+    sizes, matrices = [], []
+    for machine_b, program_b, keys in runs:
+        keys_arr = np.asarray(keys, dtype=float)
+        matrix, block = pad_and_chunk(keys_arr, program_b.workers)
+        sizes.append(int(keys_arr.size))
+        matrices.append((matrix, int(block)))
+    k = matrices[0][1]
+    batched = batch > 1
+    if batched:
+        skeleton = program.skeleton
+        if skeleton is None or any(
+                p.skeleton is not skeleton or m.params != par or block != k
+                for (m, p, _), (_, block) in zip(runs, matrices)):
+            raise ValueError("a batch of runs needs one skeleton, one block size "
+                             "and one set of machine parameters")
+        key_matrix = np.concatenate([matrix for matrix, _ in matrices])
+        offsets = (np.arange(batch, dtype=np.intp) * workers)[:, None]
+    else:
+        key_matrix = matrices[0][0]
+    del matrices
+    machines = [run[0] for run in runs]
+    programs = [run[1] for run in runs]
     # The tracer hears of the phases and the sort.* counters once, after
     # the last substage: reporting each substage as it closed made a
     # traced small sort measurably slower, and nothing reads them during
     # the call.
-    mirror_pairs = cx_executed = cx_skipped = sort_messages = 0
+    mirror_pairs = [0] * batch
+    cx_executed = [0] * batch
+    cx_skipped = [0] * batch
+    sort_messages = [0] * batch
     # Active comparison injector (chaos fault universes): the flip mask is
     # a pure symmetric hash of the operand values, so the flipped probe
     # and duel verdicts below are byte-identical to the interpreted
-    # engines' — the parity contract survives injection.
+    # engines' — the parity contract survives injection, and stacking
+    # runs changes no verdict.
     inj = active_comparison()
     # The compare-split regime (module docstring), fixed for the call.
     sorted_rows = 0 < k <= _SORTED_ROWS_MAX_K and inj is None
+    costs = _PhaseCosts(par, k)
+    record_type = costs.record_type
 
     # -- local sort (step 3a) ---------------------------------------------
     # Small blocks are sorted here and stay sorted, so their extremes are
     # columns.  Big blocks stay unsorted until after the last substage;
     # ``row_min``/``row_max`` track each row's extremes, and without exact
     # counts the phase is charged in closed form and no sort runs here.
-    rec = PhaseRecord("local-heapsort")
+    comparisons = durations = [0] * batch
     if k > 0:
         if exact_counts:
             key_matrix, counts = heapsort_batch(key_matrix)
         else:
             from repro.sorting.heapsort import heapsort_comparisons_worst_case
 
-            counts = np.full(
-                program.workers, heapsort_comparisons_worst_case(k), dtype=np.int64
-            )
+            counts = np.full(workers, heapsort_comparisons_worst_case(k), dtype=np.int64)
             if sorted_rows:
                 key_matrix.sort(axis=1)
-        rec.comparisons = int(counts.sum())
-        rec.duration = float((counts * t_compare).max())
+        if batched and exact_counts:
+            per_run = counts.reshape(batch, workers)
+            comparisons = per_run.sum(axis=1).tolist()
+            durations = (per_run * t_compare).max(axis=1).tolist()
+        else:
+            comparisons = [int(counts.sum())] * batch
+            durations = [float((counts * t_compare).max())] * batch
         if sorted_rows:
             # Views: every later write to the matrix is in place.
             row_min = key_matrix[:, 0]
@@ -411,14 +514,16 @@ def run_schedule_compiled(
         else:
             row_min = key_matrix.min(axis=1)
             row_max = key_matrix.max(axis=1)
-    _close_phase(machine, rec)
+    for b in range(batch):
+        _close_phase(machines[b], record_type("local-heapsort", float(durations[b]),
+                                              comparisons[b]))
 
     # -- substages ---------------------------------------------------------
     # One scratch buffer reused across substages (the allocator is
     # measurable at 100+ substages): an executed pair's two rows are
     # gathered side by side, so row t of its ``(executed, 2k)`` view is
     # pair t's union.
-    max_pairs = max((int(s.a_rows.size) for s in program.substages), default=0)
+    max_pairs = batch * max((int(s.a_rows.size) for s in program.substages), default=0)
     if max_pairs and k > 0:
         buf = np.empty((2 * max_pairs, k))
     # Whether to split across cores is decided once per call: a call too
@@ -432,80 +537,59 @@ def run_schedule_compiled(
     if threads > 1:
         pool = _helper_pool(threads - 1)
         lo_max_buf = np.empty(max_pairs)
-    for sub in program.substages:
-        rec = PhaseRecord(sub.label)
+    for index, sub in enumerate(program.substages):
         pair_count = int(sub.a_rows.size)
-        hops = sub.hops
-        h = sub.uniform_hops
+        if batched:
+            # Run b's pairs are entries b * P .. (b + 1) * P - 1.
+            a_rows = (sub.a_rows + offsets).ravel()
+            b_rows = (sub.b_rows + offsets).ravel()
+            subs = [p.substages[index] for p in programs]
+        else:
+            a_rows, b_rows, subs = sub.a_rows, sub.b_rows, (sub,)
         if sub.kind == "mirror":
             if pair_count and k > 0:
-                # transfer_time is non-decreasing in hops: the slowest
-                # swap is the one over the most hops.
-                rec.duration = par.transfer_time(k, h if h is not None else int(hops.max()))
-                hop_sum = pair_count * h if h is not None else int(hops.sum())
-                rec.elements_sent = 2 * k * pair_count
-                rec.element_hops = 2 * k * hop_sum
-                rec.messages = 2 * pair_count
                 # Fancy indexing on the right copies before the write, so
                 # one assignment per array swaps the rows in place.
-                ab = np.concatenate((sub.a_rows, sub.b_rows))
-                ba = np.concatenate((sub.b_rows, sub.a_rows))
+                ab = np.concatenate((a_rows, b_rows))
+                ba = np.concatenate((b_rows, a_rows))
                 key_matrix[ab] = key_matrix[ba]
                 if not sorted_rows:
                     row_min[ab] = row_min[ba]
                     row_max[ab] = row_max[ba]
-            _close_phase(machine, rec)
-            # The interpreter counts mirror pairs (and their two messages)
-            # into the sort.* metrics even for empty blocks — the phase
-            # happened, the swap was structurally real.
-            mirror_pairs += pair_count
+            for b in range(batch):
+                _close_phase(machines[b], costs.mirror(subs[b]))
+                # The interpreter counts mirror pairs (and their two
+                # messages) into the sort.* metrics even for empty blocks —
+                # the phase happened, the swap was structurally real.
+                mirror_pairs[b] += pair_count
             continue
 
         if pair_count == 0 or k == 0:
             # Empty barrier (all comparators dead, or no keys at all):
             # zero-cost record, no obs counters — like the interpreter.
-            _close_phase(machine, rec)
+            for b in range(batch):
+                _close_phase(machines[b], record_type(sub.label))
             continue
 
         # Probe: each side ships one boundary key (its sorted block's last
         # or first key: a column of a sorted row, or a tracked extreme);
         # the pair skips the block exchange when the blocks are already
         # correctly split.
-        a_last = row_max[sub.a_rows]
-        b_first = row_min[sub.b_rows]
+        a_last = row_max[a_rows]
+        b_first = row_min[b_rows]
         skip = a_last <= b_first
         if inj is not None:
             skip = skip ^ inj.flip_pairs(a_last, b_first, kind="probe")
         live = ~skip
-        executed = int(live.sum())
-        skipped = pair_count - executed
-        first_leg = (k + 1) // 2
-        return_leg = k // 2
-        if h is not None:
-            skip_h = live_h = h
-            hop_sum = pair_count * h
-            live_hop_sum = executed * h
+        if batched:
+            live_by_run = live.reshape(batch, pair_count)
+            executed_by_run = live_by_run.sum(axis=1).tolist()
+            executed = sum(executed_by_run)
         else:
-            live_hops = hops[live]
-            skip_h = int(hops[skip].max()) if skipped else 0
-            live_h = int(live_hops.max()) if executed else 0
-            hop_sum = int(hops.sum())
-            live_hop_sum = int(live_hops.sum())
-        # Per-node clock, replicating the interpreter's addition order:
-        # probe transfer, probe compare, first leg, return leg, merge
-        # compute.  The phase duration is the max — always attained at a
-        # probed-only node or an executed pair's ceil-half node.  Every
-        # term is non-decreasing in the pair's hop count and IEEE rounding
-        # is monotone, so each max is the clock of the pair with the most
-        # hops, computed once.
-        duration = par.transfer_time(1, skip_h) + t_compare if skipped else 0.0
-        comparisons = 2 * pair_count
-        elements_sent = 2 * pair_count
-        element_hops = 2 * hop_sum
-        messages = 2 * pair_count
+            executed = int(live.sum())
         if executed:
-            live_a = sub.a_rows[live]
-            live_b = sub.b_rows[live]
+            live_a = a_rows[live]
+            live_b = b_rows[live]
             rows = np.stack((live_a, live_b), axis=1).reshape(-1)
             pairs = buf[:2 * executed]
             if inj is not None:
@@ -559,58 +643,86 @@ def run_schedule_compiled(
                 row_max[live_a] = lo_max
                 row_min[live_b] = hi_min
                 row_max[live_b] = hi_max
-            node_t = par.transfer_time(1, live_h) + t_compare
-            node_t = node_t + par.transfer_time(first_leg, live_h)
-            if return_leg:
-                node_t = node_t + par.transfer_time(return_leg, live_h)
-            node_t = node_t + (first_leg + k - 1) * t_compare
-            if node_t > duration:
-                duration = node_t
-            comparisons += executed * (k + 2 * (k - 1))
-            elements_sent += 2 * k * executed
-            element_hops += 2 * (first_leg + return_leg) * live_hop_sum
-            messages += (4 if return_leg else 2) * executed
-        rec.duration = duration
-        rec.comparisons = comparisons
-        rec.elements_sent = elements_sent
-        rec.element_hops = element_hops
-        rec.messages = messages
-        _close_phase(machine, rec)
-        cx_executed += executed
-        cx_skipped += skipped
-        sort_messages += messages
+
+        # Accounting, per run: its own hops and executed count.
+        if not batched:
+            h = sub.uniform_hops
+            skipped = pair_count - executed
+            if h is not None:
+                skip_h = live_h = h
+                hop_sum = pair_count * h
+                live_hop_sum = executed * h
+            else:
+                hops = sub.hops
+                live_hops = hops[live]
+                skip_h = int(hops[skip].max()) if skipped else 0
+                live_h = int(live_hops.max()) if executed else 0
+                hop_sum = int(hops.sum())
+                live_hop_sum = int(live_hops.sum())
+            rec = costs.cx(sub.label, pair_count, executed, skip_h, live_h,
+                           hop_sum, live_hop_sum)
+            _close_phase(machine, rec)
+            cx_executed[0] += executed
+            cx_skipped[0] += skipped
+            sort_messages[0] += rec.messages
+            continue
+        uniform = [s.uniform_hops for s in subs]
+        if None in uniform:
+            hops = np.stack([s.hops for s in subs])
+            live_hops = np.where(live_by_run, hops, 0)
+            terms = zip(executed_by_run,
+                        np.where(live_by_run, 0, hops).max(axis=1).tolist(),
+                        live_hops.max(axis=1).tolist(),
+                        hops.sum(axis=1).tolist(),
+                        live_hops.sum(axis=1).tolist())
+        else:
+            terms = ((e, h, h, pair_count * h, e * h)
+                     for e, h in zip(executed_by_run, uniform))
+        for b, (run_executed, skip_h, live_h, hop_sum, live_hop_sum) in enumerate(terms):
+            rec = costs.cx(sub.label, pair_count, run_executed, skip_h, live_h,
+                           hop_sum, live_hop_sum)
+            _close_phase(machines[b], rec)
+            cx_executed[b] += run_executed
+            cx_skipped[b] += pair_count - run_executed
+            sort_messages[b] += rec.messages
 
     if not sorted_rows:
         # Every row now holds its final multiset; one sort puts each in
         # order.
-        chunks = min(threads, program.workers, key_matrix.size // _MIN_CHUNK_KEYS)
+        rows_total = batch * workers
+        chunks = min(threads, rows_total, key_matrix.size // _MIN_CHUNK_KEYS)
         if chunks > 1:
-            _in_chunks(pool, chunks, program.workers, _sort_rows, key_matrix)
+            _in_chunks(pool, chunks, rows_total, _sort_rows, key_matrix)
         else:
             key_matrix.sort(axis=1)
 
-    if obs_on:
-        # Phase start times re-add the durations in the clock's order.
-        starts, t = [], 0.0
-        for rec in machine.phases:
-            starts.append(t)
-            t += rec.duration
-        machine._record_phases(machine.phases, starts)
-        met = machine.obs.metrics
-        for name, total in (("sort.mirror.pairs", mirror_pairs),
-                            ("sort.cx.executed", cx_executed),
-                            ("sort.cx.skipped", cx_skipped),
-                            ("sort.messages", sort_messages + 2 * mirror_pairs)):
-            if total:
-                met.inc(name, total)
+    results = []
+    for b, machine in enumerate(machines):
+        program = programs[b]
+        if machine.obs.enabled:
+            # Phase start times re-add the durations in the clock's order.
+            starts, t = [], 0.0
+            for rec in machine.phases:
+                starts.append(t)
+                t += rec.duration
+            machine._record_phases(machine.phases, starts)
+            met = machine.obs.metrics
+            for name, total in (("sort.mirror.pairs", mirror_pairs[b]),
+                                ("sort.cx.executed", cx_executed[b]),
+                                ("sort.cx.skipped", cx_skipped[b]),
+                                ("sort.messages", sort_messages[b] + 2 * mirror_pairs[b])):
+                if total:
+                    met.inc(name, total)
 
-    # -- gather ------------------------------------------------------------
-    # Blocks are handed out as row views of the (now final) key matrix —
-    # the run is over, nothing mutates it again, and rows never alias each
-    # other.  ``sorted_keys`` gets its own buffer so callers may modify it
-    # freely, matching the interpreter's ``np.concatenate`` result.
-    for t, addr in enumerate(program.output_order):
-        machine.blocks[addr] = key_matrix[t]
-    gathered = key_matrix.reshape(-1).copy()
-    sorted_keys = strip_padding(gathered, int(keys_arr.size))
-    return sorted_keys, machine, k, program
+        # -- gather --------------------------------------------------------
+        # Blocks are handed out as row views of the (now final) key
+        # matrix — the run is over, nothing mutates it again, and rows
+        # never alias each other.  ``sorted_keys`` gets its own buffer so
+        # callers may modify it freely, matching the interpreter's
+        # ``np.concatenate`` result.
+        rows = key_matrix[b * workers:(b + 1) * workers] if batched else key_matrix
+        for t, addr in enumerate(program.output_order):
+            machine.blocks[addr] = rows[t]
+        gathered = rows.reshape(-1).copy()
+        results.append((strip_padding(gathered, sizes[b]), machine, k, program))
+    return results

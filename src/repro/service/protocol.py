@@ -229,15 +229,18 @@ class JobSpec:
 def batch_signature(spec: JobSpec) -> tuple | None:
     """Compatibility key for job batching, or ``None`` when unbatchable.
 
-    Jobs sharing a signature run back-to-back in one executor round-trip;
-    for sorts/plans that means the first job of the batch plans and every
-    later one replays from a warm cache.  Key data (``keys``/``seed``)
-    deliberately stays out of the signature — compatibility is about the
-    *planning* problem, not the payload.  Chaos scenarios are heterogeneous
-    by construction and never batch.
+    Jobs sharing a signature run in one executor round-trip
+    (:func:`repro.service.jobs.run_job_batch`).  Sorts batch on ``n``,
+    kernels and backend, whatever their fault sets and keys: after XOR
+    reindexing, every fault set with the same number of cuts runs the
+    same network, so phase-engine sorts whose programs are bound to one
+    skeleton and whose keys make blocks of one size share one executor
+    call.  Plans batch on the exact planning problem, and the batch's
+    later jobs hit the plan its first job cached.  Chaos scenarios are
+    heterogeneous by construction and never batch.
     """
     if spec.kind == "sort":
-        return ("sort", spec.n, spec.faults, spec.kernels, spec.backend)
+        return ("sort", spec.n, spec.kernels, spec.backend)
     if spec.kind == "plan":
         return ("plan", spec.n, spec.faults)
     return None

@@ -20,8 +20,11 @@ gathers up to ``batch_max - 1`` further jobs with the same
 :func:`~repro.service.protocol.batch_signature` from every tenant's queue
 (round-robin order, any queue position — jobs are independent and clients
 match results by ``job_id``, so reordering within a tenant is observable
-only as completion order).  The batch runs as one executor round-trip and
-the later jobs replay the first one's planning work from the warm cache.
+only as completion order).  The batch runs as one executor round-trip
+(:func:`~repro.service.jobs.run_job_batch`): its phase-engine sorts,
+whatever their fault sets, run one executor call per program skeleton and
+block size, and a plan batch's later jobs hit the plan its first job
+cached.
 """
 
 from __future__ import annotations

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.faults.model import FaultSet
 from repro.simulator.params import MachineParams
 
 
@@ -40,3 +41,18 @@ KERNEL_ROUTES = {
     "interpreted": dict(kernels="compiled", observer=_no_op_observer),
     "compiled": dict(kernels="compiled"),
 }
+
+
+def moved_fault_set(fault_set: FaultSet, shift: int, perm=None) -> FaultSet:
+    """``fault_set`` moved by the cube automorphism ``x -> perm(x XOR
+    shift)``: another plan with the same ``(n, m)``, so a program bound to
+    the same skeleton, over other output order and hops."""
+    n = fault_set.n
+    perm = range(n) if perm is None else perm
+
+    def move(x: int) -> int:
+        x ^= shift % (1 << n)
+        return sum(((x >> k) & 1) << perm[k] for k in range(n))
+
+    return FaultSet(n, [move(a) for a in fault_set.processors], kind=fault_set.kind,
+                    links=[(move(a), move(a | (1 << d))) for a, d in fault_set.links])

@@ -260,3 +260,56 @@ class TestCostAccounting:
         t1 = fault_tolerant_sort(keys, 5, [7], params=p).elapsed
         t3 = fault_tolerant_sort(keys, 5, [7, 9, 30], params=p).elapsed
         assert t3 > t1
+
+
+class TestBatch:
+    """``fault_tolerant_sort_batch``: result ``i`` is request ``i``'s own
+    ``fault_tolerant_sort``, in every field."""
+
+    REQUESTS = [(6, [3, 17, 40], 2048), (6, [5, 9, 60], 2048), (6, [1, 2, 4], 1000),
+                (6, [7], 2048), (6, [], 2048), (6, [3, 9, 14, 30], 2048),
+                (5, PAPER_FAULTS, 120), (6, [0, 33], 2048), (6, [6, 18, 40], 2048),
+                (5, [1, 2], 0)]
+
+    def _requests(self, rng):
+        return [(rng.integers(0, 10**6, size=m).astype(float), n, faults)
+                for n, faults, m in self.REQUESTS]
+
+    @pytest.mark.parametrize("kernels", ["compiled", "loop"])
+    def test_results_equal_single_sorts(self, rng, kernels):
+        from repro.core.ftsort import fault_tolerant_sort_batch
+
+        requests = self._requests(rng)
+        batch = fault_tolerant_sort_batch(requests, kernels=kernels)
+        assert len(batch) == len(requests)
+        for (keys, n, faults), got in zip(requests, batch):
+            want = fault_tolerant_sort(keys, n, faults, kernels=kernels)
+            assert got.sorted_keys.tobytes() == want.sorted_keys.tobytes()
+            assert (got.elapsed, got.output_order, got.block_size) == (
+                want.elapsed, want.output_order, want.block_size)
+            assert got.machine.phases == want.machine.phases
+            assert (got.partition, got.selection) == (want.partition, want.selection)
+
+    def test_one_executor_call_per_skeleton_and_block_size(self, rng, monkeypatch):
+        """The 2,048-key requests on Q6 with m = 2 share one call; every
+        other plan, block size or cube runs alone."""
+        import repro.kernels.compiled as compiled
+        from repro.core.ftsort import fault_tolerant_sort_batch
+
+        calls = []
+        real = compiled.run_schedule_compiled
+
+        def spy(runs, exact_counts=False):
+            calls.append(len(runs))
+            return real(runs, exact_counts=exact_counts)
+
+        monkeypatch.setattr(compiled, "run_schedule_compiled", spy)
+        fault_tolerant_sort_batch(self._requests(rng))
+        groups: dict = {}
+        for n, faults, m in self.REQUESTS:
+            cuts = plan_partition(n, faults)[1].m if len(faults) > 1 else -len(faults)
+            workers = (1 << n) - (1 << cuts if cuts > 0 else -cuts)
+            key = (n, cuts, -(-m // workers))
+            groups[key] = groups.get(key, 0) + 1
+        assert max(groups.values()) == 3
+        assert sorted(calls) == sorted(groups.values())

@@ -25,6 +25,7 @@ from repro.faults.model import FaultKind, FaultSet
 from repro.plancache import PLAN_CACHE
 from repro.plancache.cache import cached_program_skeleton
 from repro.simulator.phases import PhaseMachine
+from tests.conftest import moved_fault_set
 
 PAPER_FAULTS = [3, 5, 16, 24]
 
@@ -253,21 +254,6 @@ def _ft_case(fault_set: FaultSet, full_sort: bool = False, metric: bool = True):
             lower_schedule(build_ft_schedule(sel, full_sort=full_sort), hops))
 
 
-def _moved(fault_set: FaultSet, shift: int, perm=None) -> FaultSet:
-    """``fault_set`` moved by the cube automorphism ``x -> perm(x XOR
-    shift)``: another plan with the same ``(n, m)``, which the builder binds
-    to the skeleton of ``fault_set``'s plan."""
-    n = fault_set.n
-    perm = range(n) if perm is None else perm
-
-    def move(x: int) -> int:
-        x ^= shift % (1 << n)
-        return sum(((x >> k) & 1) << perm[k] for k in range(n))
-
-    return FaultSet(n, [move(a) for a in fault_set.processors], kind=fault_set.kind,
-                    links=[(move(a), move(a | (1 << d))) for a, d in fault_set.links])
-
-
 @st.composite
 def _processor_faults(draw):
     n = draw(st.integers(min_value=2, max_value=9))
@@ -300,8 +286,8 @@ class TestDirectBuilders:
            data=st.data())
     def test_ft_program_matches_object_route(self, fault_set, full_sort, metric, data):
         assume(fault_set.satisfies_paper_model())
-        twin = _moved(fault_set, data.draw(st.integers(min_value=1)),
-                      data.draw(st.permutations(range(fault_set.n))))
+        twin = moved_fault_set(fault_set, data.draw(st.integers(min_value=1)),
+                               data.draw(st.permutations(range(fault_set.n))))
         for plan in (fault_set, twin):
             assert_same_program(*_ft_case(plan, full_sort, metric))
 
@@ -315,7 +301,7 @@ class TestDirectBuilders:
                                                               metric, shift):
         assume(fault_set.r >= 2 and fault_set.satisfies_paper_model())
         n = fault_set.n
-        for plan in (fault_set, _moved(fault_set, shift)):
+        for plan in (fault_set, moved_fault_set(fault_set, shift)):
             _, sel = plan_partition(n, plan)
             hops = PhaseMachine(n, faults=plan).hops if metric else None
             try:
@@ -345,6 +331,30 @@ class TestDirectBuilders:
             else:
                 assert b is a is template
         assert inter == first_sel.m * (first_sel.m + 1) // 2
+
+    def test_detouring_plans_share_the_skeletons_mirrors(self, monkeypatch):
+        """Under total faults routes may detour, yet no mirror pair does:
+        both programs keep every mirror substage of the skeleton as is,
+        and still equal the object route charged through the metric."""
+        monkeypatch.setattr(PLAN_CACHE, "enabled", True)
+        plans = [FaultSet(6, faults, kind=FaultKind.TOTAL)
+                 for faults in ([3, 9, 40], [5, 17, 34])]
+        sels = [plan_partition(6, plan)[1] for plan in plans]
+        assert sels[0].m == sels[1].m
+        programs = [build_ft_program(sel, PhaseMachine(6, faults=plan).hops)
+                    for plan, sel in zip(plans, sels)]
+        skeleton = cached_program_skeleton(("ft", 6, sels[0].m, False),
+                                           lambda: pytest.fail("skeleton not cached"))
+        mirrors = 0
+        for program in programs:
+            for got, template in zip(program.substages, skeleton.substages):
+                if got.kind == "mirror":
+                    mirrors += 1
+                    assert got is template
+            assert program.skeleton is skeleton
+        assert mirrors
+        for plan in plans:
+            assert_same_program(*_ft_case(plan))
 
     @pytest.mark.parametrize("n", range(9))
     def test_plain_program_matches_object_route(self, n):

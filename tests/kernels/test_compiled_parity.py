@@ -16,7 +16,9 @@ the executor's two compare-split regimes (sorted rows for small blocks,
 selection for big ones: each forced on every input, and the block size
 where one hands over to the other), and the split of each substage's
 compare-splits across cores (forced on with uneven chunks, turned off on
-one core, and safe across ``fork``).
+one core, and safe across ``fork``).  Runs whose programs are bound to
+one skeleton, stacked into one executor call, each equal their own call
+(``TestJobAxis``).
 """
 
 from __future__ import annotations
@@ -29,18 +31,19 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import repro.kernels.compiled as compiled
 import repro.parallel as parallel
-from repro.core.ftsort import fault_tolerant_sort, plan_partition
+from repro.core.ftsort import fault_tolerant_sort, plan_partition, plan_sort
 from repro.core.schedule import build_ft_schedule, lower_schedule
+from repro.faults.injectors import ComparisonInjector, comparison_faults
 from repro.faults.model import FaultKind, FaultSet
 from repro.obs.spans import Tracer
 from repro.plancache.cache import PLAN_CACHE
 from repro.simulator.params import MachineParams
 from repro.simulator.phases import PhaseMachine
-from tests.conftest import KERNEL_ROUTES
+from tests.conftest import KERNEL_ROUTES, moved_fault_set
 
 PAPER_FAULTS = [3, 5, 16, 24]
 
@@ -463,3 +466,115 @@ class TestHonestAccounting:
             assert rec.comparisons == 0
             assert rec.elements_sent > 0
             assert rec.messages > 0
+
+
+@st.composite
+def _job_batches(draw):
+    """A fault set on Q2-Q5 (partial, total, or with a faulty link), 1-6
+    runs on moved copies of it, and each run's block size: 0, up to 40
+    keys (sorted rows) or 129-140 keys (selection)."""
+    n = draw(st.integers(min_value=2, max_value=5))
+    kind = draw(st.sampled_from(["partial", "total", "link"]))
+    r = draw(st.integers(min_value=0, max_value=n - 1))
+    procs = draw(st.lists(st.integers(min_value=0, max_value=(1 << n) - 1),
+                          min_size=r, max_size=r, unique=True))
+    links = []
+    if kind == "link":
+        a = draw(st.integers(min_value=0, max_value=(1 << n) - 1))
+        links = [(a, a ^ (1 << draw(st.integers(min_value=0, max_value=n - 1))))]
+    try:
+        base = FaultSet(n, procs, links=links,
+                        kind=FaultKind.TOTAL if kind == "total" else FaultKind.PARTIAL)
+    except ValueError:
+        assume(False)
+    ranges = {"empty": (0, 0), "small": (1, 40), "big": (129, 140)}
+    block_sizes = [draw(st.integers(*ranges[regime])) for regime in draw(st.lists(
+        st.sampled_from(["small", "small", "big", "big", "empty"]), min_size=1, max_size=2))]
+    runs = draw(st.lists(st.tuples(
+        st.integers(min_value=0, max_value=(1 << n) - 1),   # shift
+        st.permutations(range(n)),
+        st.sampled_from(block_sizes),
+        st.integers(min_value=0, max_value=10_000),          # key seed
+    ), min_size=1, max_size=6))
+    return base, runs
+
+
+class TestJobAxis:
+    """Runs stacked into one executor call (one call per skeleton and
+    block size) each equal their own call: bytes, clock, phase records,
+    placement, final blocks, ordered spans and ``sort.*`` counters."""
+
+    @settings(max_examples=60, deadline=None)
+    @example(batch=(FaultSet(5, PAPER_FAULTS), [(0, range(5), 20, 1), (7, range(5), 20, 2),
+                                                (21, [4, 3, 2, 1, 0], 20, 3)]),
+             step8="two-merge", exact=False, high=10**6, p=0.0, split=False)
+    @example(batch=(FaultSet(4, [3, 9, 14], kind=FaultKind.TOTAL),
+                    [(0, range(4), 130, 1), (5, [1, 0, 3, 2], 130, 2), (9, range(4), 3, 4)]),
+             step8="two-merge", exact=True, high=20, p=0.0, split=True)
+    @given(
+        batch=_job_batches(),
+        step8=st.sampled_from(["two-merge", "full-sort"]),
+        exact=st.booleans(),
+        high=st.sampled_from([20, 10**6]),
+        p=st.sampled_from([0.0, 0.0, 0.02]),
+        split=st.booleans(),
+    )
+    def test_batched_runs_equal_their_own_calls(self, batch, step8, exact, high, p, split):
+        """``p > 0`` runs under an active comparison injector; ``split``
+        forces the split across cores with one-key chunks.  The examples
+        pin a plan with mirror substages, and a detouring one whose
+        inter-subcube hops differ from run to run."""
+        base, runs = batch
+        requests = []
+        for shift, perm, block, seed in runs:
+            fault_set = moved_fault_set(base, shift, list(perm))
+            try:
+                workers = plan_sort([], base.n, fault_set, step8=step8).program.workers
+            except ValueError:  # outside the paper's model
+                assume(False)
+            count = 0 if block == 0 else workers * (block - 1) + 1 + seed % workers
+            keys = np.random.default_rng(seed).integers(0, high, size=count).astype(float)
+            requests.append((keys, fault_set))
+
+        with pytest.MonkeyPatch.context() as mp:
+            if split:
+                mp.setattr(compiled, "_MIN_CHUNK_KEYS", 1)
+                mp.setattr(parallel, "_kernel_threads", 3)
+            alone = []
+            alone_inj = ComparisonInjector(p, seed=42)
+            with comparison_faults(alone_inj):
+                for keys, fs in requests:
+                    tracer = Tracer()
+                    alone.append((fault_tolerant_sort(
+                        keys, base.n, fs, exact_counts=exact, step8=step8, obs=tracer,
+                        kernels="compiled"), tracer))
+            planned = [plan_sort(keys, base.n, fs, step8=step8, obs=Tracer())
+                       for keys, fs in requests]
+            groups: dict = {}
+            for i, sort in enumerate(planned):
+                groups.setdefault(sort.group, []).append(i)
+            together = [None] * len(planned)
+            batch_inj = ComparisonInjector(p, seed=42)
+            with comparison_faults(batch_inj):
+                for members in groups.values():
+                    outs = compiled.run_schedule_compiled(
+                        [(planned[i].machine, planned[i].program, planned[i].keys)
+                         for i in members], exact_counts=exact)
+                    for i, out in zip(members, outs):
+                        together[i] = planned[i].result(*out)
+        for (single, single_tr), result, sort in zip(alone, together, planned):
+            _assert_identical(single, result)
+            assert result.machine.blocks.keys() == single.machine.blocks.keys()
+            tr = sort.machine.obs
+            assert [(s.name, s.ts, s.dur, s.cat, s.args) for s in tr.spans] == \
+                [(s.name, s.ts, s.dur, s.cat, s.args) for s in single_tr.spans]
+            assert _sort_counters(tr) == _sort_counters(single_tr)
+        assert (batch_inj.fired, batch_inj.fired_probe, batch_inj.evaluated) == (
+            alone_inj.fired, alone_inj.fired_probe, alone_inj.evaluated)
+
+    def test_runs_of_two_skeletons_are_refused(self):
+        keys = np.arange(40.0)
+        sorts = [plan_sort(keys, 5, faults) for faults in ([3, 5], [1])]
+        with pytest.raises(ValueError, match="one skeleton"):
+            compiled.run_schedule_compiled(
+                [(s.machine, s.program, s.keys) for s in sorts])

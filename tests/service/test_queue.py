@@ -77,10 +77,10 @@ class TestFairness:
 class TestBatching:
     def test_gathers_compatible_jobs_across_tenants(self):
         q = FairQueue()
-        q.put(_job("a", 0))            # same planning problem...
-        q.put(_job("a", 1))
+        q.put(_job("a", 0))            # same cube...
+        q.put(_job("a", 1, faults=(1, 2)))  # ...whatever the fault set...
         q.put(_job("b", 0))            # ...from another tenant
-        q.put(_job("b", 1, faults=(1, 2)))  # different problem: stays queued
+        q.put(_job("b", 1, n=6))       # another cube: stays queued
         batch = q.pop_batch(8)
         assert sorted(j.job_id for j in batch) == ["a0", "a1", "b0"]
         assert len(q) == 1

@@ -23,7 +23,7 @@ import repro.service.server as server_mod
 from repro.core.ftsort import fault_tolerant_sort
 from repro.plancache import PLAN_CACHE
 from repro.service import ServiceClient, SortingService
-from repro.service.jobs import run_job_batch
+from repro.service.jobs import run_job, run_job_batch
 
 REPO = Path(__file__).resolve().parents[2]
 
@@ -107,6 +107,86 @@ class TestEndToEnd:
             assert stats["batched_jobs"] == 3
             await _stop(svc, server, a, b)
         asyncio.run(main())
+
+    def test_sorts_with_different_fault_sets_batch_together(self, monkeypatch):
+        # Eight sorts on Q5 from two tenants queue behind the gate: three
+        # fault sets with m = 2, one with m = 3, one with m = 1, one with
+        # r = 1, and two key counts, so the batch forms five groups.
+        gate = threading.Event()
+        batches = []
+
+        def gated(specs):
+            gate.wait(timeout=30)
+            batches.append(specs)
+            return run_job_batch(specs)
+
+        monkeypatch.setattr(server_mod, "run_job_batch", gated)
+        monkeypatch.setattr(PLAN_CACHE, "enabled", True)
+        jobs = [([3, 12, 21], 1024), ([5, 10, 19], 1024), ([6, 9, 17], 1024),
+                ([3, 5, 16, 24], 1024), ([7], 1024), ([3, 12, 21], 4096),
+                ([1, 2], 1024), ([5, 10, 19], 4096)]
+        PLAN_CACHE.clear()
+
+        async def main():
+            svc = SortingService(batch_max=8)
+            server, port = await _start(svc)
+            a = await ServiceClient.connect(port=port)
+            b = await ServiceClient.connect(port=port)
+            # The pilot, a plan with no faults, never touches the cache.
+            pilot = await a.submit({"kind": "plan", "n": 5}, tenant="x")
+            while not svc.in_flight:
+                await asyncio.sleep(0.005)
+            acks = [await (a if i % 2 else b).submit(
+                {"kind": "sort", "n": 5, "faults": faults, "keys": keys, "seed": i},
+                tenant="ab"[i % 2]) for i, (faults, keys) in enumerate(jobs)]
+            gate.set()
+            assert (await a.result(pilot["job_id"]))["ok"]
+            results = [await (a if i % 2 else b).result(acks[i]["job_id"])
+                       for i in range(len(jobs))]
+            stats = await a.stats()
+            await _stop(svc, server, a, b)
+            return results, stats
+
+        results, stats = asyncio.run(main())
+        assert stats["batches"] == 2 and stats["batched_jobs"] == len(jobs) - 1
+        for i, ((faults, keys), res) in enumerate(zip(jobs, results)):
+            assert res["ok"] and res["batched"] == len(jobs)
+            key_arr = np.random.default_rng(i).integers(0, 10**6, size=keys).astype(float)
+            alone = fault_tolerant_sort(key_arr, 5, faults)
+            assert res["result"]["verified"]
+            assert res["result"]["elapsed_sim"] == alone.elapsed
+            assert res["result"]["checksum"] == float(alone.sorted_keys.sum())
+        # The same jobs, one by one in the batch's order from the same
+        # (empty) cache, make the same per-tenant cache traffic.
+        (specs,) = batches[1:]
+        PLAN_CACHE.clear()
+        expected = {"a": {"hits": 0, "misses": 0}, "b": {"hits": 0, "misses": 0}}
+        for spec in specs:
+            delta = run_job(spec)["plancache"]
+            for field in ("hits", "misses"):
+                expected["ab"[spec.seed % 2]][field] += delta[field]
+        for tenant in "ab":
+            counters = stats["tenants"][tenant]["plancache"]
+            assert {f: counters[f] for f in ("hits", "misses")} == expected[tenant]
+        assert expected["a"]["misses"] and expected["b"]["hits"]
+
+    def test_batches_past_the_key_budget_run_one_job_at_a_time(self, monkeypatch):
+        import repro.service.jobs as jobs_mod
+        from repro.service.protocol import JobSpec
+
+        alone = []
+        real = jobs_mod.run_job
+        monkeypatch.setattr(jobs_mod, "run_job",
+                            lambda spec: alone.append(spec.seed) or real(spec))
+        specs = tuple(JobSpec.from_dict({"kind": "sort", "n": 4, "faults": faults,
+                                         "keys": 100, "seed": seed})
+                      for seed, faults in enumerate(([3, 9], [1, 6])))
+        for budget, ran_alone in ((200, []), (199, [0, 1])):
+            monkeypatch.setattr(jobs_mod, "_GROUP_MAX_KEYS", budget)
+            alone.clear()
+            payloads = run_job_batch(specs)
+            assert alone == ran_alone
+            assert all(p["ok"] and p["result"]["verified"] for p in payloads)
 
     def test_failing_job_is_a_result_not_a_disconnect(self):
         async def main():
