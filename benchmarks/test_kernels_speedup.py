@@ -15,6 +15,8 @@ The headline measurements from the PERFORMANCE.md contract:
   lib-manyproc's shape (``n = 14``, 17-key blocks);
 * several sorts bound to one program skeleton run as one executor call
   versus one call each (``n = 6``, 2,048 keys, batches of 1, 2 and 8);
+* the compiled tier on int32 images of its keys versus the same call on
+  float64, on svc-stream's, lib-manyproc's and lib-bigblock's shapes;
 * building a fresh plan's compiled program straight from the plan versus
   building and lowering its per-pair schedule objects, and binding a
   second plan to the first one's cached skeleton (``n = 10``, ``r = 5``
@@ -256,8 +258,11 @@ class TestSmallBlockRegime:
     keys make 515-key blocks) and lib-manyproc's shape (n=14, faults
     {3, 9, 4100}, 2^18 keys in 16,380 rows of 17 keys), which is the
     headline.  ``speedup`` is selection over sorted-rows wall time;
-    ``cutover_k`` is the bound the tier ships with.  CI's multi-core job
-    asserts the headline speedup at full size.
+    ``cutover_k`` is the bound the tier ships with.  Both sides run on
+    float64 (the executor's encoder patched to decline), so the rows
+    compare the regimes alone; :class:`TestNarrowKeys` times the int32
+    image.  CI's multi-core job asserts the headline speedup at full
+    size.
     """
 
     SHAPES = [(10, [3, 9, 100], 1020 * k) for k in (17, 35, 65, 129, 257, 515)]
@@ -267,6 +272,7 @@ class TestSmallBlockRegime:
     def test_sorted_rows_vs_selection(self, fast_mode, bench_json, monkeypatch):
         reps = 2 if fast_mode else 5
         cutover_k = compiled._SORTED_ROWS_MAX_K
+        monkeypatch.setattr(compiled, "_key_image", lambda keys, size, sorted_rows: None)
         rows = []
         for n, faults, m_keys in self.SHAPES + [self.HEADLINE]:
             keys = np.random.default_rng(SEED).random(m_keys)
@@ -366,6 +372,83 @@ class TestBatchedJobs:
         })
         assert all(row["parity"] for row in rows), (
             "a batched sort diverged from its own call")
+
+
+class TestNarrowKeys:
+    """The compiled tier on 32-bit keys against the same call on float64.
+
+    Each row runs one shape with the executor's encoder
+    (``compiled._key_image``) patched to decline, which keeps the call on
+    float64, and as it ships, asserts the two identical in bytes, clock
+    and phase records, and times both, best-of, alternating which runs
+    first.  ``path`` is the key path the shipped call took.  The rows are
+    svc-stream's shape (n=10, faults {3, 9, 100}, integer-valued keys:
+    the int32 cast), the headline; lib-manyproc's (n=14, faults
+    {3, 9, 4100}, uniform floats in 17-key blocks: dense ranks); and
+    lib-bigblock's (n=6, faults {3, 9}, uniform floats in big blocks),
+    which stays on float64.  CI's multi-core job asserts the headline
+    speedup at full size.
+    """
+
+    SHAPES = (("svc-stream", 10, [3, 9, 100], 1 << 19, "ints"),
+              ("lib-manyproc", 14, [3, 9, 4100], 1 << 18, "floats"),
+              ("lib-bigblock", 6, [3, 9], 1 << 19, "floats"))
+    FAST_SHAPES = (("svc-stream", 10, [3, 9, 100], 1 << 17, "ints"),
+                   ("lib-manyproc", 12, [3, 9, 1028], 1 << 16, "floats"),
+                   ("lib-bigblock", 6, [3, 9], 1 << 17, "floats"))
+
+    def test_narrowed_vs_float64(self, fast_mode, bench_json, monkeypatch):
+        reps = 3 if fast_mode else 5
+        encode = compiled._key_image
+        paths = []
+
+        def spy(keys, size, sorted_rows):
+            encoded = encode(keys, size, sorted_rows)
+            paths.append("float64" if encoded is None
+                         else "cast" if encoded[1] is None else "ranks")
+            return encoded
+
+        def run(narrow):
+            monkeypatch.setattr(compiled, "_key_image",
+                                spy if narrow else lambda keys, size, sorted_rows: None)
+            return fault_tolerant_sort(keys, n, faults, kernels="compiled")
+
+        rows = []
+        for name, n, faults, m_keys, family in (self.FAST_SHAPES if fast_mode
+                                                else self.SHAPES):
+            rng = np.random.default_rng(SEED)
+            keys = (rng.integers(0, 10**6, m_keys).astype(float) if family == "ints"
+                    else rng.random(m_keys))
+            wide = run(False)
+            paths.clear()
+            narrow = run(True)
+            path = paths[0]
+            parity = (
+                wide.sorted_keys.tobytes() == narrow.sorted_keys.tobytes()
+                and wide.elapsed == narrow.elapsed
+                and _records(wide) == _records(narrow)
+            )
+            best = {False: float("inf"), True: float("inf")}
+            for rep in range(reps):
+                for narrowed in ((False, True) if rep % 2 == 0 else (True, False)):
+                    t0 = time.perf_counter()
+                    run(narrowed)
+                    best[narrowed] = min(best[narrowed], time.perf_counter() - t0)
+            rows.append({
+                "shape": name, "n": n, "faults": faults, "m_keys": m_keys,
+                "k": wide.block_size, "keys": family, "path": path,
+                "float64_seconds": best[False], "narrowed_seconds": best[True],
+                "speedup": best[False] / best[True], "parity": bool(parity),
+            })
+            print(f"\n{name} n={n} k={wide.block_size} ({path}): float64 "
+                  f"{best[False] * 1e3:.1f}ms vs narrowed {best[True] * 1e3:.1f}ms "
+                  f"({rows[-1]['speedup']:.2f}x)")
+        head = rows[0]
+        bench_json("kernels", "narrow_keys", {
+            **head, "rows": rows, "fast_mode": fast_mode,
+        })
+        assert all(row["parity"] for row in rows), "the int32 image changed a result"
+        assert [row["path"] for row in rows] == ["cast", "ranks", "float64"]
 
 
 def _same_program(a, b) -> bool:

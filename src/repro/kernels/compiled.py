@@ -32,7 +32,8 @@ Neither regime is the paper's linear merge, but both leave the multiset
 a merge would leave in every row after every substage, so the probe
 decisions, the simulated clock, the counters and the final sorted rows
 cannot depend on the regime (keys that compare equal with different
-bits, ``-0.0`` and ``0.0``, may trade places; no tier pins their order).
+bits, ``-0.0`` and ``0.0``, may trade places, and numpy's sort of up to
+256 keys may turn one into the other; no tier pins them).
 An active comparison injector always takes the selection regime: the
 lying duel runs on sorted copies of the two rows, as the interpreter's
 does, and leaves both halves unsorted, so the selection regime's tracked
@@ -55,6 +56,30 @@ probe, gather, compare-split and scatter run once for all of them.  A
 fault set changes only where a run's rows land and what its pairs' hops
 cost, never which rows meet, so stacking cannot change an output; the
 clock, the phase records and the counters are kept per run.
+
+The network reads keys only through comparisons, so the executor may run
+on any order-preserving image of them that keeps ties: every probe
+decision, the clock, the counters and the multiset in every row stay the
+same.  Where it can, a call runs its substages on an int32 image of each
+run's padded keys, whose gathers, scatters, partitions and row sorts
+cost about half the float64 ones, and decodes the final rows back
+(:func:`_key_image`):
+
+* **cast**, in either regime, when every key is an integer in
+  ``[-2**31, 2**31 - 2]`` other than ``-0.0``: the image is the keys
+  themselves, and the pads are ``2**31 - 1``, above every key;
+* **dense ranks**, in the sorted-rows regime only, for other keys without
+  a ``-0.0``: an ``argsort`` ranks the keys, equal keys share a rank, the
+  pads take the rank above the largest, and a table of the distinct keys
+  maps ranks back.  The ``argsort`` pays for itself only where the
+  program is long next to its keys: at big blocks' few substages it
+  costs more than it saves;
+* otherwise, and under an active comparison or memory injector (the
+  first hashes operand values, the second corrupts the float store),
+  the call runs on float64.
+
+Runs of one call are encoded one by one, each in its own rank space (rows
+of two runs never meet), and a batch narrows only if every run does.
 
 Off the executor — the program walker
 (:func:`repro.core.single_fault.run_program_interpreted`, which runs the
@@ -96,16 +121,18 @@ import threading
 
 import numpy as np
 
-from repro.faults.injectors import active_comparison
+from repro.faults.injectors import active_comparison, active_memory
 from repro.kernels.base import KernelBackend
 
 __all__ = ["CompiledBackend", "heapsort_batch", "program_machine", "run_schedule_compiled"]
 
-#: Fewest keys worth a chunk of their own: union keys (2k per executed
-#: pair) for a substage, row keys for the final sort.  Below it a helper
-#: thread's hand-off costs more than the chunk's work saves.  Measured
-#: crossover: docs/PERFORMANCE.md §1, "Substages across cores".
-_MIN_CHUNK_KEYS = 1 << 16
+#: Fewest bytes of keys worth a chunk of their own: union keys (2k per
+#: executed pair) for a substage, row keys for the final sort.  Below it a
+#: helper thread's hand-off costs more than the chunk's work saves, and
+#: that work goes with the keys' bytes: a chunk of int32 keys needs twice
+#: the keys of a float64 one.  Measured crossover: docs/PERFORMANCE.md §1,
+#: "Substages across cores".
+_MIN_CHUNK_BYTES = 1 << 19
 
 #: Largest block whose rows stay sorted for the whole call (the module
 #: docstring's small-block regime).  Up to here one row sort of each
@@ -114,6 +141,93 @@ _MIN_CHUNK_KEYS = 1 << 16
 #: cubes.  Measured crossover: docs/PERFORMANCE.md §1, "Small blocks:
 #: sort the union".
 _SORTED_ROWS_MAX_K = 128
+
+#: Every pad's image: above every key the cast accepts.
+_PAD_IMAGE = np.iinfo(np.int32).max
+
+#: The bits of ``-0.0`` read as an int64: the smallest int64, which no
+#: other float's bits reach.
+_NEG_ZERO_BITS = np.iinfo(np.int64).min
+
+#: Keys the cast tries before it reads them all, so that float keys are
+#: turned away in microseconds.
+_CAST_PREFIX = 64
+
+
+def _has_negative_zero(keys: np.ndarray) -> bool:
+    return int(keys.view(np.int64).min()) == _NEG_ZERO_BITS
+
+
+def _cast_image(keys: np.ndarray, size: int) -> np.ndarray | None:
+    """``keys`` as int32, then pads up to ``size`` keys, or None unless
+    every key is an integer in ``[-2**31, 2**31 - 2]`` other than ``-0.0``.
+
+    A key passes when its cast converts back to itself; a value out of
+    int32's range converts to some in-range integer, so it cannot."""
+    head = keys[:_CAST_PREFIX]
+    with np.errstate(invalid="ignore"):
+        if not np.array_equal(head.astype(np.int32), head):
+            return None
+        image = np.empty(size, dtype=np.int32)
+        image[:keys.size] = keys
+    image[keys.size:] = _PAD_IMAGE
+    real = image[:keys.size]
+    if (np.array_equal(real, keys) and real.max() < _PAD_IMAGE
+            and not _has_negative_zero(keys)):
+        return image
+    return None
+
+
+def _rank_image(keys: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Dense int32 ranks of ``keys`` (equal keys share one), then pads up
+    to ``size`` keys at the rank above the largest; and the table that
+    maps a rank back to its key (the pads' to ``+inf``)."""
+    order = np.argsort(keys)
+    # The sorted keys are the table already when no two are equal.
+    table = np.empty(keys.size + 1)
+    table[-1] = np.inf
+    ordered = table[:-1]
+    np.take(keys, order, out=ordered, mode="clip")
+    new = np.empty(keys.size, dtype=bool)
+    new[0] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
+    ranks = np.cumsum(new, dtype=np.int32)
+    ranks -= 1
+    image = np.empty(size, dtype=np.int32)
+    image[order] = ranks
+    distinct = int(ranks[-1]) + 1
+    del order, ranks
+    image[keys.size:] = distinct
+    if distinct < keys.size:
+        table = np.append(ordered[new], np.inf)
+    return image, table
+
+
+def _key_image(keys: np.ndarray, size: int, sorted_rows: bool):
+    """An int32 image of ``keys`` padded to ``size`` keys, which orders
+    and ties them as the keys do, with every pad above every key; or
+    None where the call must stay on float64.
+
+    Returns ``(image, table)``: ``table`` is None for the cast and the
+    rank table for ranks, as :func:`_decode` takes it.  Ranks are tried
+    in the sorted-rows regime only, and not where a ``-0.0`` is present:
+    one rank for ``-0.0`` and ``0.0`` could not give back both."""
+    image = _cast_image(keys, size)
+    if image is not None:
+        return image, None
+    if sorted_rows and size < 2**31 and not _has_negative_zero(keys):
+        return _rank_image(keys, size)
+    return None
+
+
+def _decode(image: np.ndarray, table: np.ndarray | None) -> np.ndarray:
+    """The float64 keys an int32 image of :func:`_key_image` stands for,
+    pads as ``+inf``."""
+    if table is not None:
+        return table[image]
+    keys = image.astype(np.float64)
+    keys[image == _PAD_IMAGE] = np.inf
+    return keys
 
 
 def _sift_down_batch(a: np.ndarray, rows: np.ndarray, start: int, end: int,
@@ -429,6 +543,10 @@ def run_schedule_compiled(runs, exact_counts: bool = False):
     counters, tracer report, final blocks and ``sorted_keys`` buffer.  A
     call with one run does no offset arithmetic.
 
+    The stacked matrix holds each run's int32 image
+    (:func:`_key_image`) when every run has one, and its float64 keys
+    otherwise; the final rows are decoded run by run.
+
     Returns:
         One ``(sorted_keys, machine, block_size, program)`` per run, in
         order; ``machine`` carries the final per-node blocks, the
@@ -444,26 +562,20 @@ def run_schedule_compiled(runs, exact_counts: bool = False):
     par = machine.params
     t_compare = par.t_compare
     workers = program.workers
-    sizes, matrices = [], []
-    for machine_b, program_b, keys in runs:
-        keys_arr = np.asarray(keys, dtype=float)
-        matrix, block = pad_and_chunk(keys_arr, program_b.workers)
-        sizes.append(int(keys_arr.size))
-        matrices.append((matrix, int(block)))
-    k = matrices[0][1]
+    keys_of = [np.asarray(keys, dtype=float) for _, _, keys in runs]
+    sizes = [int(keys_arr.size) for keys_arr in keys_of]
+    matrices, blocks = zip(*(pad_and_chunk(keys_arr, p.workers)
+                             for keys_arr, (_, p, _) in zip(keys_of, runs)))
+    k = int(blocks[0])
     batched = batch > 1
     if batched:
         skeleton = program.skeleton
         if skeleton is None or any(
                 p.skeleton is not skeleton or m.params != par or block != k
-                for (m, p, _), (_, block) in zip(runs, matrices)):
+                for (m, p, _), block in zip(runs, blocks)):
             raise ValueError("a batch of runs needs one skeleton, one block size "
                              "and one set of machine parameters")
-        key_matrix = np.concatenate([matrix for matrix, _ in matrices])
         offsets = (np.arange(batch, dtype=np.intp) * workers)[:, None]
-    else:
-        key_matrix = matrices[0][0]
-    del matrices
     machines = [run[0] for run in runs]
     programs = [run[1] for run in runs]
     # The tracer hears of the phases and the sort.* counters once, after
@@ -482,6 +594,23 @@ def run_schedule_compiled(runs, exact_counts: bool = False):
     inj = active_comparison()
     # The compare-split regime (module docstring), fixed for the call.
     sorted_rows = 0 < k <= _SORTED_ROWS_MAX_K and inj is None
+    # The int32 image (module docstring), encoded from each run's keys:
+    # without a memory injector they are its padded matrix's real keys.
+    tables = None
+    if k > 0 and inj is None and active_memory() is None:
+        images = []
+        for keys_arr in keys_of:
+            encoded = _key_image(keys_arr, workers * k, sorted_rows)
+            if encoded is None:
+                break
+            images.append(encoded)
+        else:
+            matrices = [image.reshape(workers, k) for image, _ in images]
+            tables = [table for _, table in images]
+        del images
+    del keys_of
+    key_matrix = np.concatenate(matrices) if batched else matrices[0]
+    del matrices
     costs = _PhaseCosts(par, k)
     record_type = costs.record_type
 
@@ -525,18 +654,19 @@ def run_schedule_compiled(runs, exact_counts: bool = False):
     # pair t's union.
     max_pairs = batch * max((int(s.a_rows.size) for s in program.substages), default=0)
     if max_pairs and k > 0:
-        buf = np.empty((2 * max_pairs, k))
+        buf = np.empty((2 * max_pairs, k), dtype=key_matrix.dtype)
     # Whether to split across cores is decided once per call: a call too
     # small for two chunks never looks up the budget or the helper pool
     # (nor imports repro.parallel, which pulls in multiprocessing).
     threads = 1
-    if key_matrix.size >= 2 * _MIN_CHUNK_KEYS:
+    min_chunk = max(1, _MIN_CHUNK_BYTES // key_matrix.itemsize)
+    if key_matrix.size >= 2 * min_chunk:
         from repro.parallel import kernel_threads
 
         threads = kernel_threads()
     if threads > 1:
         pool = _helper_pool(threads - 1)
-        lo_max_buf = np.empty(max_pairs)
+        lo_max_buf = np.empty(max_pairs, dtype=key_matrix.dtype)
     for index, sub in enumerate(program.substages):
         pair_count = int(sub.a_rows.size)
         if batched:
@@ -616,7 +746,7 @@ def run_schedule_compiled(runs, exact_counts: bool = False):
                 # sort the union, which keeps both rows sorted; big ones
                 # select.
                 union = pairs.reshape(executed, 2 * k)
-                chunks = min(threads, executed, 2 * k * executed // _MIN_CHUNK_KEYS)
+                chunks = min(threads, executed, 2 * k * executed // min_chunk)
                 if chunks > 1:
                     lo_max = None if sorted_rows else lo_max_buf[:executed]
                     _in_chunks(pool, chunks, executed, _split_pairs,
@@ -690,7 +820,7 @@ def run_schedule_compiled(runs, exact_counts: bool = False):
         # Every row now holds its final multiset; one sort puts each in
         # order.
         rows_total = batch * workers
-        chunks = min(threads, rows_total, key_matrix.size // _MIN_CHUNK_KEYS)
+        chunks = min(threads, rows_total, key_matrix.size // min_chunk)
         if chunks > 1:
             _in_chunks(pool, chunks, rows_total, _sort_rows, key_matrix)
         else:
@@ -721,6 +851,8 @@ def run_schedule_compiled(runs, exact_counts: bool = False):
         # callers may modify it freely, matching the interpreter's
         # ``np.concatenate`` result.
         rows = key_matrix[b * workers:(b + 1) * workers] if batched else key_matrix
+        if tables is not None:
+            rows = _decode(rows, tables[b])
         for t, addr in enumerate(program.output_order):
             machine.blocks[addr] = rows[t]
         gathered = rows.reshape(-1).copy()

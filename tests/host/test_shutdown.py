@@ -18,7 +18,9 @@ and a subsequent run must work from a clean slate.
 from __future__ import annotations
 
 import _thread
+import signal
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -70,19 +72,33 @@ class TestInjectedInterrupt:
         assert np.array_equal(report.sorted_keys, np.sort(KEYS))
 
 
+#: How long the loop below may wait for an interrupt due after 0.15 s.
+INTERRUPT_DEADLINE_S = 30.0
+
+
 class TestAsyncInterrupt:
     def test_interrupt_main_lands_between_or_inside_runs(self):
+        if signal.getsignal(signal.SIGINT) is not signal.default_int_handler:
+            # ``interrupt_main`` raises only through Python's own handler;
+            # a process started with SIGINT ignored (a background job of
+            # a non-interactive shell) would never see the interrupt.
+            pytest.skip("SIGINT is not handled by Python's default handler, "
+                        "so interrupt_main cannot raise KeyboardInterrupt")
         tracer = Tracer()
         timer = threading.Timer(0.15, _thread.interrupt_main)
+        deadline = time.monotonic() + INTERRUPT_DEADLINE_S
         timer.start()
         try:
             with pytest.raises(KeyboardInterrupt):
                 # The loop guarantees the interrupt finds us here (or in a
                 # supervised run) whenever it fires; each iteration is a
                 # full sort, so it regularly lands mid-run.
-                while True:
+                while time.monotonic() < deadline:
                     supervised_sort(KEYS, 4, faults=(3, 9), backend="phase",
                                     obs=tracer)
+                timer.cancel()
+                pytest.fail(f"interrupt_main did not interrupt the loop within "
+                            f"{INTERRUPT_DEADLINE_S:.0f} s")
         finally:
             timer.cancel()
         assert tracer.depth == 0

@@ -18,7 +18,9 @@ where one hands over to the other), and the split of each substage's
 compare-splits across cores (forced on with uneven chunks, turned off on
 one core, and safe across ``fork``).  Runs whose programs are bound to
 one skeleton, stacked into one executor call, each equal their own call
-(``TestJobAxis``).
+(``TestJobAxis``).  Those three suites draw their keys from families that
+reach every key path of the executor (the int32 cast, dense int32 ranks
+and float64), and ``TestKeyPaths`` checks which path each input takes.
 """
 
 from __future__ import annotations
@@ -37,7 +39,8 @@ import repro.kernels.compiled as compiled
 import repro.parallel as parallel
 from repro.core.ftsort import fault_tolerant_sort, plan_partition, plan_sort
 from repro.core.schedule import build_ft_schedule, lower_schedule
-from repro.faults.injectors import ComparisonInjector, comparison_faults
+from repro.faults.injectors import (ComparisonInjector, MemoryInjector, comparison_faults,
+                                    memory_faults)
 from repro.faults.model import FaultKind, FaultSet
 from repro.obs.spans import Tracer
 from repro.plancache.cache import PLAN_CACHE
@@ -53,10 +56,15 @@ def _record_tuple(rec):
             rec.element_hops, rec.messages)
 
 
-def _assert_identical(a, b):
-    """Full result parity: output bytes, clock, phases, final placement."""
+def _assert_identical(a, b, same_bytes=True):
+    """Full result parity: output bytes, clock, phases, final placement.
+
+    ``same_bytes=False`` compares the keys by value only, for inputs with
+    both ``-0.0`` and ``0.0``: no tier pins their order, and numpy's row
+    sort of up to 256 keys may turn one into the other."""
     np.testing.assert_array_equal(a.sorted_keys, b.sorted_keys)
-    assert a.sorted_keys.tobytes() == b.sorted_keys.tobytes()
+    if same_bytes:
+        assert a.sorted_keys.tobytes() == b.sorted_keys.tobytes()
     assert a.elapsed == b.elapsed  # bit-exact, not approx
     assert a.output_order == b.output_order
     assert a.block_size == b.block_size
@@ -169,6 +177,35 @@ class TestCompiledParity:
         _assert_identical(results["loop"], results["compiled"])
 
 
+#: Key families of the parity suites.  Integer-valued keys take the int32
+#: cast (unless an extreme of ``int-bounds`` is out of its range), other
+#: keys dense ranks in the sorted-rows regime and float64 in the selection
+#: regime, and keys with a ``-0.0`` float64 in both.
+KEY_FAMILIES = ("ints", "int-ties", "int-bounds", "floats", "float-ties", "neg-zero")
+
+
+def _family_keys(family: str, seed: int, count: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    if family == "ints":
+        return rng.integers(-10**6, 10**6, size=count).astype(float)
+    if family == "int-ties":
+        return rng.integers(-3, 20, size=count).astype(float)
+    if family == "int-bounds":
+        # Each of int32's least value, the pads' image and the first
+        # value past int32 is present half the time.
+        keys = rng.integers(-50, 50, size=count).astype(float)
+        for extreme in (-2.0**31, 2.0**31 - 1, 2.0**31):
+            if count and rng.random() < 0.5:
+                keys[rng.integers(count, size=1 + count // 8)] = extreme
+        return keys
+    if family == "floats":
+        return 2 * rng.random(count) - 1
+    if family == "float-ties":
+        return rng.choice(rng.random(5), size=count)
+    assert family == "neg-zero"
+    return rng.choice([-0.0, 0.0, -1.5, 0.25, 3.0], size=count)
+
+
 def _sort_counters(tracer) -> dict:
     return {name: c.value for name, c in tracer.metrics.counters.items()
             if name.startswith("sort.")}
@@ -190,13 +227,14 @@ def _fault_plans(draw):
 
 
 def _spy_chunks(monkeypatch) -> list:
-    """Record ``(thread name, sorted-rows regime)`` for every chunk of
-    compare-splits that ``_split_pairs`` runs."""
+    """Record ``(thread name, sorted-rows regime, key dtype)`` for every
+    chunk of compare-splits that ``_split_pairs`` runs."""
     chunks = []
     real = compiled._split_pairs
 
     def spy(lo, hi, key_matrix, rows, pairs, lo_max, k):
-        chunks.append((threading.current_thread().name, lo_max is None))
+        chunks.append((threading.current_thread().name, lo_max is None,
+                       key_matrix.dtype.name))
         real(lo, hi, key_matrix, rows, pairs, lo_max, k)
 
     monkeypatch.setattr(compiled, "_split_pairs", spy)
@@ -209,32 +247,40 @@ class TestCompareSplitRegimes:
     same multiset in every row after every substage, so forcing either
     one on any input changes no byte, clock tick or counter."""
 
-    @settings(max_examples=25, deadline=None)
-    @example(plan=(5, PAPER_FAULTS), keys=400, high=10**6, seed=0, exact=False)
-    @example(plan=(5, PAPER_FAULTS), keys=397, high=20, seed=1, exact=True)
+    @settings(max_examples=30, deadline=None)
+    @example(plan=(5, PAPER_FAULTS), keys=400, family="ints", seed=0, exact=False)
+    @example(plan=(5, PAPER_FAULTS), keys=397, family="int-ties", seed=1, exact=True)
     @example(plan=(4, FaultSet(4, [3, 9, 14], kind=FaultKind.TOTAL)), keys=120,
-             high=10**6, seed=5, exact=False)
+             family="ints", seed=5, exact=False)
+    @example(plan=(5, PAPER_FAULTS), keys=400, family="float-ties", seed=2, exact=False)
+    @example(plan=(5, PAPER_FAULTS), keys=397, family="floats", seed=3, exact=True)
+    @example(plan=(4, [3, 9, 14]), keys=300, family="int-bounds", seed=8, exact=False)
+    @example(plan=(4, [3, 9, 14]), keys=300, family="int-bounds", seed=4, exact=False)
+    @example(plan=(5, PAPER_FAULTS), keys=350, family="neg-zero", seed=4, exact=False)
     @given(
         plan=_fault_plans(),
         keys=st.integers(min_value=0, max_value=400),
-        high=st.sampled_from([20, 10**6]),
+        family=st.sampled_from(KEY_FAMILIES),
         seed=st.integers(min_value=0, max_value=10_000),
         exact=st.booleans(),
     )
-    def test_both_regimes_match_loop(self, plan, keys, high, seed, exact):
+    def test_both_regimes_match_loop(self, plan, keys, family, seed, exact):
         """Selection everywhere (the bound at 0) and sorted rows
-        everywhere (the bound above every block).  The examples pin a
-        plan with mirror substages and a total-fault plan whose routes
-        detour."""
+        everywhere (the bound above every block), on every key family.
+        The examples pin a plan with mirror substages and a total-fault
+        plan whose routes detour, and give each key path a case: tied
+        floats (ranks, then float64), keys down to int32's least value
+        (the cast), and keys that reach the pads' image ``2**31 - 1``
+        (ranks, then float64)."""
         n, faults = plan
-        key_arr = np.random.default_rng(seed).integers(0, high, size=keys).astype(float)
+        key_arr = _family_keys(family, seed, keys)
         loop, loop_counts = _traced_sort(key_arr, n, faults, "loop", exact)
         np.testing.assert_array_equal(loop.sorted_keys, np.sort(key_arr))
         for bound in (0, 1 << 30):
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(compiled, "_SORTED_ROWS_MAX_K", bound)
                 fast, fast_counts = _traced_sort(key_arr, n, faults, "compiled", exact)
-            _assert_identical(loop, fast)
+            _assert_identical(loop, fast, same_bytes=family != "neg-zero")
             assert fast_counts == loop_counts
 
     @pytest.mark.parametrize("block,sorted_rows", [
@@ -247,19 +293,136 @@ class TestCompareSplitRegimes:
         substage with two executed pairs report its regime."""
         keys = np.random.default_rng(block).integers(0, 10**6, 24 * block - 1).astype(float)
         chunks = _spy_chunks(monkeypatch)
-        monkeypatch.setattr(compiled, "_MIN_CHUNK_KEYS", 1)
+        monkeypatch.setattr(compiled, "_MIN_CHUNK_BYTES", 1)
         monkeypatch.setattr(parallel, "_kernel_threads", 2)
         fast, fast_counts = _traced_sort(keys, 5, PAPER_FAULTS, "compiled")
         loop, loop_counts = _traced_sort(keys, 5, PAPER_FAULTS, "loop")
         assert fast.block_size == block
-        assert chunks and {regime for _, regime in chunks} == {sorted_rows}
+        assert chunks and {regime for _, regime, _ in chunks} == {sorted_rows}
         _assert_identical(loop, fast)
         assert fast_counts == loop_counts
 
 
+def _spy_key_paths(monkeypatch) -> list:
+    """Record the key path of every run the executor encodes: ``"cast"``,
+    ``"ranks"``, or ``"float64"`` where the encoder declines."""
+    paths = []
+    real = compiled._key_image
+
+    def spy(keys, size, sorted_rows):
+        encoded = real(keys, size, sorted_rows)
+        paths.append("float64" if encoded is None
+                     else "cast" if encoded[1] is None else "ranks")
+        return encoded
+
+    monkeypatch.setattr(compiled, "_key_image", spy)
+    return paths
+
+
+def _with_extreme(value):
+    """Integer keys with ``value`` among them."""
+    def make(rng, count):
+        keys = rng.integers(-10**6, 10**6, size=count).astype(float)
+        keys[rng.integers(count, size=3)] = value
+        return keys
+    return make
+
+
+class TestKeyPaths:
+    """Which path each input takes: integer keys in int32's range (the
+    pads' image excluded) take the cast in either regime, other keys
+    dense ranks in the sorted-rows regime, and float64 otherwise, under
+    an active injector, or with a ``-0.0`` among the keys.  Q5 with the
+    paper's faults has 24 workers; one key short of ``24 * block`` leaves
+    one padded row.  One-key chunks make ``_split_pairs`` report the
+    dtype the substages ran on."""
+
+    @pytest.mark.parametrize("make_keys,block,path", [
+        (lambda rng, c: rng.integers(0, 10**6, c).astype(float), 17, "cast"),
+        (lambda rng, c: rng.integers(0, 10**6, c).astype(float), 200, "cast"),
+        (_with_extreme(-2.0**31), 17, "cast"),
+        (_with_extreme(-2.0**31), 200, "cast"),
+        (lambda rng, c: rng.random(c), 17, "ranks"),
+        (lambda rng, c: rng.random(c), compiled._SORTED_ROWS_MAX_K, "ranks"),
+        (lambda rng, c: rng.random(c), compiled._SORTED_ROWS_MAX_K + 1, "float64"),
+        (_with_extreme(2.0**31 - 1), 17, "ranks"),
+        (_with_extreme(2.0**31 - 1), 200, "float64"),
+        (_with_extreme(2.0**31), 17, "ranks"),
+        (_with_extreme(-0.0), 17, "float64"),
+        (_with_extreme(-0.0), 200, "float64"),
+        (lambda rng, c: rng.choice([-0.0, 0.0, 0.5], c), 17, "float64"),
+    ], ids=["ints-small", "ints-big", "int32-least-small", "int32-least-big",
+            "floats-small", "floats-at-bound", "floats-past-bound", "pad-image-small",
+            "pad-image-big", "past-int32", "ints-neg-zero-small", "ints-neg-zero-big",
+            "floats-neg-zero"])
+    def test_path_follows_keys_and_regime(self, make_keys, block, path, monkeypatch):
+        keys = make_keys(np.random.default_rng(block), 24 * block - 1)
+        paths = _spy_key_paths(monkeypatch)
+        chunks = _spy_chunks(monkeypatch)
+        monkeypatch.setattr(compiled, "_MIN_CHUNK_BYTES", 1)
+        monkeypatch.setattr(parallel, "_kernel_threads", 2)
+        fast, fast_counts = _traced_sort(keys, 5, PAPER_FAULTS, "compiled")
+        assert fast.block_size == block
+        assert paths == [path]
+        assert chunks and {dtype for _, _, dtype in chunks} == {
+            "float64" if path == "float64" else "int32"}
+        loop, loop_counts = _traced_sort(keys, 5, PAPER_FAULTS, "loop")
+        _assert_identical(loop, fast, same_bytes=not np.signbit(keys[keys == 0]).any())
+        assert fast_counts == loop_counts
+
+    @pytest.mark.parametrize("injected", ["comparison", "memory"])
+    @pytest.mark.parametrize("block", [17, 200])
+    def test_active_injector_keeps_float64(self, injected, block, monkeypatch):
+        """The comparison injector hashes operand values and the memory
+        injector corrupts the float store, so neither call encodes."""
+        keys = np.random.default_rng(block).integers(0, 10**6, 24 * block - 1).astype(float)
+        paths = _spy_key_paths(monkeypatch)
+        chunks = _spy_chunks(monkeypatch)
+        monkeypatch.setattr(compiled, "_MIN_CHUNK_BYTES", 1)
+        monkeypatch.setattr(parallel, "_kernel_threads", 2)
+        if injected == "comparison":
+            with comparison_faults(ComparisonInjector(0.02, seed=3)) as inj:
+                fault_tolerant_sort(keys, 5, PAPER_FAULTS, kernels="compiled")
+            assert inj.evaluated
+        else:
+            with memory_faults(MemoryInjector(0.01, seed=3)) as inj:
+                fault_tolerant_sort(keys, 5, PAPER_FAULTS, kernels="compiled")
+            assert inj.corrupted
+            assert chunks and {dtype for _, _, dtype in chunks} == {"float64"}
+        assert paths == []
+
+    @pytest.mark.parametrize("block,paths_seen,dtype", [
+        (17, ["cast", "ranks"], "int32"),
+        (200, ["cast", "float64"], "float64"),
+    ])
+    def test_batch_narrows_only_if_every_run_does(self, block, paths_seen, dtype,
+                                                  monkeypatch):
+        """An integer-keyed run and a float-keyed run in one call: each
+        is encoded on its own, and one run on float64 keeps the batch
+        there.  Each run still equals its own call."""
+        rng = np.random.default_rng(block)
+        count = 24 * block - 1
+        requests = [(rng.integers(0, 10**6, count).astype(float), PAPER_FAULTS),
+                    (rng.random(count), [a ^ 7 for a in PAPER_FAULTS])]
+        alone = [fault_tolerant_sort(keys, 5, faults, kernels="compiled")
+                 for keys, faults in requests]
+        planned = [plan_sort(keys, 5, faults) for keys, faults in requests]
+        assert planned[0].group == planned[1].group
+        paths = _spy_key_paths(monkeypatch)
+        chunks = _spy_chunks(monkeypatch)
+        monkeypatch.setattr(compiled, "_MIN_CHUNK_BYTES", 1)
+        monkeypatch.setattr(parallel, "_kernel_threads", 2)
+        outs = compiled.run_schedule_compiled(
+            [(sort.machine, sort.program, sort.keys) for sort in planned])
+        assert paths == paths_seen
+        assert chunks and {dtype for _, _, dtype in chunks} == {dtype}
+        for single, sort, out in zip(alone, planned, outs):
+            _assert_identical(single, sort.result(*out))
+
+
 #: 2^18 keys on Q6 with faults {3, 9}: 62 rows of 4,229 keys, so every
 #: substage and the final sort are far above two chunks of the real
-#: ``_MIN_CHUNK_KEYS``.
+#: ``_MIN_CHUNK_BYTES``.
 LARGE_N, LARGE_FAULTS, LARGE_KEYS = 6, [3, 9], 1 << 18
 
 
@@ -267,18 +430,20 @@ class TestSplitAcrossCores:
     """Chunking a substage's compare-splits across helper threads changes
     wall time only: bytes, clock, phases and counters stay identical."""
 
-    @settings(max_examples=25, deadline=None)
-    @example(plan=(5, PAPER_FAULTS), keys=400, high=10**6, seed=0, exact=False)
-    @example(plan=(5, PAPER_FAULTS), keys=397, high=20, seed=1, exact=True)
-    @example(plan=(2, [1]), keys=400, high=10**6, seed=2, exact=False)
+    @settings(max_examples=30, deadline=None)
+    @example(plan=(5, PAPER_FAULTS), keys=400, family="ints", seed=0, exact=False)
+    @example(plan=(5, PAPER_FAULTS), keys=397, family="int-ties", seed=1, exact=True)
+    @example(plan=(2, [1]), keys=400, family="ints", seed=2, exact=False)
+    @example(plan=(2, [1]), keys=400, family="floats", seed=3, exact=False)
+    @example(plan=(5, PAPER_FAULTS), keys=390, family="float-ties", seed=4, exact=False)
     @given(
         plan=_fault_plans(),
         keys=st.integers(min_value=0, max_value=400),
-        high=st.sampled_from([20, 10**6]),
+        family=st.sampled_from(KEY_FAMILIES),
         seed=st.integers(min_value=0, max_value=10_000),
         exact=st.booleans(),
     )
-    def test_forced_uneven_split_matches_serial_and_loop(self, plan, keys, high,
+    def test_forced_uneven_split_matches_serial_and_loop(self, plan, keys, family,
                                                          seed, exact):
         """One-key chunks and a budget of 3 threads: every substage with
         two or more executed pairs splits, unevenly whenever the count is
@@ -287,11 +452,12 @@ class TestSplitAcrossCores:
         ``_SORTED_ROWS_MAX_K``, so they take the selection regime and its
         final row sort: numpy's partition can leave a union of up to 256
         keys fully sorted (it does on AVX-512 hosts), which would hide a
-        row the final sort missed."""
+        row the final sort missed.  Those blocks run on the cast for
+        integer keys and on float64 for floats."""
         n, faults = plan
-        key_arr = np.random.default_rng(seed).integers(0, high, size=keys).astype(float)
+        key_arr = _family_keys(family, seed, keys)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(compiled, "_MIN_CHUNK_KEYS", 1)
+            mp.setattr(compiled, "_MIN_CHUNK_BYTES", 1)
             mp.setattr(parallel, "_kernel_threads", 3)
             split, split_counts = _traced_sort(key_arr, n, faults, "compiled", exact)
             mp.setattr(parallel, "_kernel_threads", 1)
@@ -299,7 +465,7 @@ class TestSplitAcrossCores:
         loop, loop_counts = _traced_sort(key_arr, n, faults, "loop", exact)
         np.testing.assert_array_equal(split.sorted_keys, np.sort(key_arr))
         _assert_identical(serial, split)
-        _assert_identical(loop, split)
+        _assert_identical(loop, split, same_bytes=family != "neg-zero")
         assert split_counts == serial_counts == loop_counts
 
     @staticmethod
@@ -316,23 +482,24 @@ class TestSplitAcrossCores:
             split, split_counts = _traced_sort(keys, n, faults, "compiled")
         finally:
             sys.setswitchinterval(interval)
-        assert any(name.startswith("repro-kernel") for name, _ in chunks)
+        assert any(name.startswith("repro-kernel") for name, _, _ in chunks)
         monkeypatch.setattr(parallel, "_kernel_threads", 1)
         serial, serial_counts = _traced_sort(keys, n, faults, "compiled")
         np.testing.assert_array_equal(split.sorted_keys, np.sort(keys))
         _assert_identical(serial, split)
         assert split_counts == serial_counts
-        return {regime for _, regime in chunks}
+        return {regime for _, regime, _ in chunks}
 
     def test_large_sort_runs_chunks_on_helper_threads(self, monkeypatch):
         keys = np.random.default_rng(11).random(LARGE_KEYS)
         assert self._on_helper_threads(monkeypatch, keys, LARGE_N, LARGE_FAULTS) == {False}
 
     def test_small_block_sort_runs_chunks_on_helper_threads(self, monkeypatch):
-        """2^18 keys on Q12 with faults {3, 9}: 4,094 rows of 65 keys, in
-        the sorted-rows regime, and most substages split."""
-        keys = np.random.default_rng(14).random(1 << 18)
-        assert self._on_helper_threads(monkeypatch, keys, 12, [3, 9]) == {True}
+        """2^19 keys on Q13 with faults {3, 9}: 8,190 rows of 65 keys, in
+        the sorted-rows regime on dense int32 ranks, and most substages
+        split."""
+        keys = np.random.default_rng(14).random(1 << 19)
+        assert self._on_helper_threads(monkeypatch, keys, 13, [3, 9]) == {True}
 
     def test_one_usable_core_starts_no_helper_thread(self, monkeypatch):
         monkeypatch.setattr(parallel, "effective_cpu_count", lambda: 1)
@@ -471,8 +638,9 @@ class TestHonestAccounting:
 @st.composite
 def _job_batches(draw):
     """A fault set on Q2-Q5 (partial, total, or with a faulty link), 1-6
-    runs on moved copies of it, and each run's block size: 0, up to 40
-    keys (sorted rows) or 129-140 keys (selection)."""
+    runs on moved copies of it, and each run's block size (0, up to 40
+    keys (sorted rows) or 129-140 keys (selection)) and key family (one
+    or two per batch)."""
     n = draw(st.integers(min_value=2, max_value=5))
     kind = draw(st.sampled_from(["partial", "total", "link"]))
     r = draw(st.integers(min_value=0, max_value=n - 1))
@@ -490,11 +658,13 @@ def _job_batches(draw):
     ranges = {"empty": (0, 0), "small": (1, 40), "big": (129, 140)}
     block_sizes = [draw(st.integers(*ranges[regime])) for regime in draw(st.lists(
         st.sampled_from(["small", "small", "big", "big", "empty"]), min_size=1, max_size=2))]
+    families = draw(st.lists(st.sampled_from(KEY_FAMILIES), min_size=1, max_size=2))
     runs = draw(st.lists(st.tuples(
         st.integers(min_value=0, max_value=(1 << n) - 1),   # shift
         st.permutations(range(n)),
         st.sampled_from(block_sizes),
         st.integers(min_value=0, max_value=10_000),          # key seed
+        st.sampled_from(families),
     ), min_size=1, max_size=6))
     return base, runs
 
@@ -502,54 +672,65 @@ def _job_batches(draw):
 class TestJobAxis:
     """Runs stacked into one executor call (one call per skeleton and
     block size) each equal their own call: bytes, clock, phase records,
-    placement, final blocks, ordered spans and ``sort.*`` counters."""
+    placement, final blocks, ordered spans and ``sort.*`` counters.  Each
+    run's own call equals ``loop``'s."""
 
     @settings(max_examples=60, deadline=None)
-    @example(batch=(FaultSet(5, PAPER_FAULTS), [(0, range(5), 20, 1), (7, range(5), 20, 2),
-                                                (21, [4, 3, 2, 1, 0], 20, 3)]),
-             step8="two-merge", exact=False, high=10**6, p=0.0, split=False)
+    @example(batch=(FaultSet(5, PAPER_FAULTS),
+                    [(0, range(5), 20, 1, "ints"), (7, range(5), 20, 2, "ints"),
+                     (21, [4, 3, 2, 1, 0], 20, 3, "ints")]),
+             step8="two-merge", exact=False, p=0.0, split=False)
     @example(batch=(FaultSet(4, [3, 9, 14], kind=FaultKind.TOTAL),
-                    [(0, range(4), 130, 1), (5, [1, 0, 3, 2], 130, 2), (9, range(4), 3, 4)]),
-             step8="two-merge", exact=True, high=20, p=0.0, split=True)
+                    [(0, range(4), 130, 1, "int-ties"), (5, [1, 0, 3, 2], 130, 2, "int-ties"),
+                     (9, range(4), 3, 4, "int-ties")]),
+             step8="two-merge", exact=True, p=0.0, split=True)
+    @example(batch=(FaultSet(5, PAPER_FAULTS),
+                    [(0, range(5), 30, 5, "ints"), (7, range(5), 30, 6, "float-ties"),
+                     (21, [4, 3, 2, 1, 0], 30, 7, "floats")]),
+             step8="two-merge", exact=False, p=0.0, split=True)
+    @example(batch=(FaultSet(4, [3, 9, 14]),
+                    [(0, range(4), 135, 8, "int-ties"), (5, [1, 0, 3, 2], 135, 9, "floats")]),
+             step8="full-sort", exact=False, p=0.0, split=False)
     @given(
         batch=_job_batches(),
         step8=st.sampled_from(["two-merge", "full-sort"]),
         exact=st.booleans(),
-        high=st.sampled_from([20, 10**6]),
         p=st.sampled_from([0.0, 0.0, 0.02]),
         split=st.booleans(),
     )
-    def test_batched_runs_equal_their_own_calls(self, batch, step8, exact, high, p, split):
+    def test_batched_runs_equal_their_own_calls(self, batch, step8, exact, p, split):
         """``p > 0`` runs under an active comparison injector; ``split``
         forces the split across cores with one-key chunks.  The examples
-        pin a plan with mirror substages, and a detouring one whose
-        inter-subcube hops differ from run to run."""
+        pin a plan with mirror substages, a detouring one whose
+        inter-subcube hops differ from run to run, and batches that mix
+        integer and float keys: in the sorted-rows regime each run keeps
+        its own int32 image (a cast or ranks), in the selection regime
+        the float run keeps the whole batch on float64."""
         base, runs = batch
         requests = []
-        for shift, perm, block, seed in runs:
+        for shift, perm, block, seed, family in runs:
             fault_set = moved_fault_set(base, shift, list(perm))
             try:
                 workers = plan_sort([], base.n, fault_set, step8=step8).program.workers
             except ValueError:  # outside the paper's model
                 assume(False)
             count = 0 if block == 0 else workers * (block - 1) + 1 + seed % workers
-            keys = np.random.default_rng(seed).integers(0, high, size=count).astype(float)
-            requests.append((keys, fault_set))
+            requests.append((_family_keys(family, seed, count), fault_set, family))
 
         with pytest.MonkeyPatch.context() as mp:
             if split:
-                mp.setattr(compiled, "_MIN_CHUNK_KEYS", 1)
+                mp.setattr(compiled, "_MIN_CHUNK_BYTES", 1)
                 mp.setattr(parallel, "_kernel_threads", 3)
             alone = []
             alone_inj = ComparisonInjector(p, seed=42)
             with comparison_faults(alone_inj):
-                for keys, fs in requests:
+                for keys, fs, _ in requests:
                     tracer = Tracer()
                     alone.append((fault_tolerant_sort(
                         keys, base.n, fs, exact_counts=exact, step8=step8, obs=tracer,
                         kernels="compiled"), tracer))
             planned = [plan_sort(keys, base.n, fs, step8=step8, obs=Tracer())
-                       for keys, fs in requests]
+                       for keys, fs, _ in requests]
             groups: dict = {}
             for i, sort in enumerate(planned):
                 groups.setdefault(sort.group, []).append(i)
@@ -562,7 +743,14 @@ class TestJobAxis:
                          for i in members], exact_counts=exact)
                     for i, out in zip(members, outs):
                         together[i] = planned[i].result(*out)
-        for (single, single_tr), result, sort in zip(alone, together, planned):
+        for (single, single_tr), result, sort, (keys, fs, family) in zip(
+                alone, together, planned, requests):
+            if p == 0.0:
+                loop_tr = Tracer()
+                loop = fault_tolerant_sort(keys, base.n, fs, exact_counts=exact, step8=step8,
+                                           obs=loop_tr, kernels="loop")
+                _assert_identical(loop, single, same_bytes=family != "neg-zero")
+                assert _sort_counters(loop_tr) == _sort_counters(single_tr)
             _assert_identical(single, result)
             assert result.machine.blocks.keys() == single.machine.blocks.keys()
             tr = sort.machine.obs
