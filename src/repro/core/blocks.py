@@ -14,19 +14,16 @@ import numpy as np
 
 from repro.faults.injectors import active_memory
 
-__all__ = ["pad_and_chunk", "strip_padding", "PAD_KEY"]
+__all__ = ["checked_keys", "pad_and_chunk", "strip_padding", "PAD_KEY"]
 
 PAD_KEY = np.inf
 """The dummy key (the paper's ``infinity``)."""
 
 
-def pad_and_chunk(keys: np.ndarray | list, workers: int) -> tuple[np.ndarray, int]:
-    """Split ``keys`` into ``workers`` equal chunks, padding with ``+inf``.
-
-    Returns ``(chunks, block_size)`` where ``chunks`` is one freshly
-    allocated ``(workers, block_size)`` float matrix whose rows are the
-    unsorted chunks, ``block_size = ceil(M / workers)`` (0 when there are
-    no keys).  Raises if ``workers <= 0`` or any key is not finite.
+def checked_keys(keys: np.ndarray | list, workers: int) -> tuple[np.ndarray, int]:
+    """``keys`` as a 1-D float array, and the block size of ``workers``
+    equal chunks of them, ``ceil(M / workers)`` (0 when there are no
+    keys).  Raises if ``workers <= 0`` or any key is not finite.
     """
     if workers <= 0:
         raise ValueError(f"need at least one working processor, got {workers}")
@@ -35,8 +32,19 @@ def pad_and_chunk(keys: np.ndarray | list, workers: int) -> tuple[np.ndarray, in
         raise ValueError(f"keys must be 1-D, got shape {arr.shape}")
     if not np.isfinite(arr).all():
         raise ValueError("keys must be finite (+inf is reserved for padding)")
+    return arr, -(-int(arr.size) // workers)  # ceil division
+
+
+def pad_and_chunk(keys: np.ndarray | list, workers: int) -> tuple[np.ndarray, int]:
+    """Split ``keys`` into ``workers`` equal chunks, padding with ``+inf``.
+
+    Returns ``(chunks, block_size)`` where ``chunks`` is one freshly
+    allocated ``(workers, block_size)`` float matrix whose rows are the
+    unsorted chunks, and ``block_size`` is :func:`checked_keys`'s.  Raises
+    as :func:`checked_keys` does.
+    """
+    arr, block = checked_keys(keys, workers)
     m = int(arr.size)
-    block = -(-m // workers)  # ceil division
     padded = np.full(workers * block, PAD_KEY, dtype=float)
     padded[:m] = arr
     inj = active_memory()

@@ -344,22 +344,31 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
 class CompiledSubstage:
     """One substage lowered to flat index arrays over the key matrix.
 
-    For ``kind == "cx"``, row ``a_rows[t]`` keeps the smaller half of its
-    union with row ``b_rows[t]`` — the low/high vs min/max orientation of
-    the comparator is already resolved, so the executor needs no keep_min
-    branching.  For ``kind == "mirror"``, the two rows swap whole
-    blocks.  ``hops[t]`` is the routing distance the pair's transfers are
-    charged over; ``uniform_hops`` is that distance when every pair shares
-    it, else ``None``.  All arrays are read-only (compiled programs are
+    ``pairs`` is one ``(P, 2)`` intp array, a row per pair; ``a_rows``
+    and ``b_rows`` are its two columns, as views.  For ``kind == "cx"``,
+    row ``a_rows[t]`` keeps the smaller half of its union with row
+    ``b_rows[t]`` — the low/high vs min/max orientation of the comparator
+    is already resolved, so the executor needs no keep_min branching.
+    For ``kind == "mirror"``, the two rows swap whole blocks.
+    ``hops[t]`` is the routing distance the pair's transfers are charged
+    over; ``uniform_hops`` is that distance when every pair shares it,
+    else ``None``.  All arrays are read-only (compiled programs are
     cached and shared across runs).
     """
 
     label: str
     kind: str
-    a_rows: np.ndarray
-    b_rows: np.ndarray
+    pairs: np.ndarray
     hops: np.ndarray
     uniform_hops: int | None = None
+
+    @property
+    def a_rows(self) -> np.ndarray:
+        return self.pairs[:, 0]
+
+    @property
+    def b_rows(self) -> np.ndarray:
+        return self.pairs[:, 1]
 
 
 @dataclass(frozen=True)
@@ -410,16 +419,13 @@ def lower_schedule(schedule: SortSchedule, hops_of=None) -> CompiledSchedule:
     row = {addr: t for t, addr in enumerate(schedule.output_order)}
     lowered = []
     for sub in schedule.substages:
-        a_idx: list[int] = []
-        b_idx: list[int] = []
+        rows: list[tuple[int, int]] = []
         for pair in sub.pairs:
             if sub.kind == "cx" and not pair.keep_min:
-                a_idx.append(row[pair.high])
-                b_idx.append(row[pair.low])
+                rows.append((row[pair.high], row[pair.low]))
             else:
-                a_idx.append(row[pair.low])
-                b_idx.append(row[pair.high])
-        count = len(a_idx)
+                rows.append((row[pair.low], row[pair.high]))
+        count = len(rows)
         uniform = sub.uniform_hops
         if uniform is not None:
             hops = np.full(count, uniform, dtype=np.int64)
@@ -433,8 +439,7 @@ def lower_schedule(schedule: SortSchedule, hops_of=None) -> CompiledSchedule:
             CompiledSubstage(
                 label=sub.label,
                 kind=sub.kind,
-                a_rows=_frozen(np.asarray(a_idx, dtype=np.intp)),
-                b_rows=_frozen(np.asarray(b_idx, dtype=np.intp)),
+                pairs=_frozen(np.asarray(rows, dtype=np.intp).reshape(count, 2)),
                 hops=_frozen(hops),
                 uniform_hops=uniform,
             )
@@ -455,11 +460,17 @@ def _place_bits(x: np.ndarray, dims) -> np.ndarray:
     return out
 
 
+def _pairs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The ``(P, 2)`` pair array of min-keeper rows ``a`` and max-keeper
+    rows ``b`` (arrays of one shape, read in C order)."""
+    return np.stack((a, b), axis=-1).reshape(-1, 2)
+
+
 def _bitonic_rows(
     q: int, i: int, j: int, descending: np.ndarray, dead0: bool
-) -> tuple[np.ndarray, np.ndarray]:
-    """Min-keeper and max-keeper rows of bitonic substage ``(i, j)`` on
-    ``2**q`` logical positions, for every group at once.
+) -> np.ndarray:
+    """The ``(P, 2)`` min-keeper and max-keeper rows of bitonic substage
+    ``(i, j)`` on ``2**q`` logical positions, for every group at once.
 
     Group ``g`` holds position ``l`` in row ``g * (2**q - dead0) + l -
     dead0``; with ``dead0`` position 0 is the dead processor, which has no
@@ -474,11 +485,10 @@ def _bitonic_rows(
     keep = (((low >> (i + 1)) & 1) == 0) != descending[:, None]
     base = np.arange(descending.size, dtype=np.intp)[:, None] * ((1 << q) - dead0) - dead0
     low_rows, high_rows = base + low, base + high
-    return (np.where(keep, low_rows, high_rows).ravel(),
-            np.where(keep, high_rows, low_rows).ravel())
+    return _pairs(np.where(keep, low_rows, high_rows), np.where(keep, high_rows, low_rows))
 
 
-def _substage(label: str, kind: str, a: np.ndarray, b: np.ndarray,
+def _substage(label: str, kind: str, pairs: np.ndarray,
               hops: np.ndarray | None) -> CompiledSubstage:
     """A substage over frozen arrays, ``uniform_hops`` read off ``hops``.
 
@@ -489,27 +499,25 @@ def _substage(label: str, kind: str, a: np.ndarray, b: np.ndarray,
     if hops is not None:
         uniform = int(hops[0]) if hops.size and (hops == hops[0]).all() else None
         hops = _frozen(hops)
-    return CompiledSubstage(label=label, kind=kind, a_rows=_frozen(a),
-                            b_rows=_frozen(b), hops=hops, uniform_hops=uniform)
+    return CompiledSubstage(label=label, kind=kind, pairs=_frozen(pairs), hops=hops,
+                            uniform_hops=uniform)
 
 
-def _neighbor_substage(label: str, a: np.ndarray, b: np.ndarray) -> CompiledSubstage:
+def _neighbor_substage(label: str, pairs: np.ndarray) -> CompiledSubstage:
     """A cx substage whose pairs are all physical neighbors (1 hop, also
     when it has no pairs)."""
     return CompiledSubstage(
         label=label,
         kind="cx",
-        a_rows=_frozen(a),
-        b_rows=_frozen(b),
-        hops=_frozen(np.ones(a.size, dtype=np.int64)),
+        pairs=_frozen(pairs),
+        hops=_frozen(np.ones(len(pairs), dtype=np.int64)),
         uniform_hops=1,
     )
 
 
 def _charged(template: CompiledSubstage, hops: np.ndarray) -> CompiledSubstage:
-    """``template`` charged over ``hops``; the row arrays are shared."""
-    return _substage(template.label, template.kind, template.a_rows,
-                     template.b_rows, hops)
+    """``template`` charged over ``hops``; the pair array is shared."""
+    return _substage(template.label, template.kind, template.pairs, hops)
 
 
 def _metric_hops(hops_of, low: np.ndarray, high: np.ndarray) -> np.ndarray:
@@ -522,7 +530,7 @@ def _plain_skeleton(n: int, dead0: bool) -> tuple[CompiledSubstage, ...]:
     """Every substage of the full-cube bitonic sort: all neighbor pairs."""
     descending = np.zeros(1, dtype=bool)
     return tuple(
-        _neighbor_substage(f"bitonic[i={i},j={j}]", *_bitonic_rows(n, i, j, descending, dead0))
+        _neighbor_substage(f"bitonic[i={i},j={j}]", _bitonic_rows(n, i, j, descending, dead0))
         for i in range(n) for j in range(i, -1, -1)
     )
 
@@ -587,8 +595,8 @@ def _ft_skeleton(n: int, m: int, full_sort: bool) -> _FtSkeleton:
     def intra_sort(label: str, ascending: np.ndarray) -> None:
         for i in range(s):
             for j in range(i, -1, -1):
-                a, b = _bitonic_rows(s, i, j, ~ascending, dead0=True)
-                substages.append(_neighbor_substage(f"{label}[i={i},j={j}]", a, b))
+                substages.append(_neighbor_substage(
+                    f"{label}[i={i},j={j}]", _bitonic_rows(s, i, j, ~ascending, dead0=True)))
 
     # Step 3: per-subcube sorts, ascending iff the subcube address is even.
     ascending = (vs & 1) == 0
@@ -619,8 +627,8 @@ def _ft_skeleton(n: int, m: int, full_sort: bool) -> _FtSkeleton:
             inter.append((len(substages), v_low, v_high))
             substages.append(_substage(
                 f"inter[i={i},j={j}]", "cx",
-                np.where(keep, low_rows, high_rows).ravel(),
-                np.where(keep, high_rows, low_rows).ravel(), None,
+                _pairs(np.where(keep, low_rows, high_rows), np.where(keep, high_rows, low_rows)),
+                None,
             ))
             # Step 8 (see build_ft_program).
             prev_bit = (vs >> (j - 1)) & 1 if j >= 1 else no_bit
@@ -629,15 +637,14 @@ def _ft_skeleton(n: int, m: int, full_sort: bool) -> _FtSkeleton:
                 intra_sort(f"intra[i={i},j={j}]", ascending)
                 continue
             for jj in range(s - 1, -1, -1):
-                a, b = _bitonic_rows(s, s - 1, jj, ~kept_min, dead0=True)
-                substages.append(
-                    _neighbor_substage(f"intra[i={i},j={j}]a[j={jj}]", a, b))
+                substages.append(_neighbor_substage(
+                    f"intra[i={i},j={j}]a[j={jj}]",
+                    _bitonic_rows(s, s - 1, jj, ~kept_min, dead0=True)))
             flips = vs[kept_min != ascending]
             if flips.size:
                 substages.append(_substage(
                     f"intra[i={i},j={j}]b", "mirror",
-                    rows[flips[:, None], half].ravel(),
-                    rows[flips[:, None], p - half].ravel(),
+                    _pairs(rows[flips[:, None], half], rows[flips[:, None], p - half]),
                     np.tile(mirror_hops, flips.size),
                 ))
     if not ascending.all():

@@ -9,10 +9,14 @@ program :func:`~repro.core.schedule.lower_schedule` would make of the
 plan's :class:`~repro.core.schedule.SortSchedule`), either ``step8``
 mode included, :func:`program_machine` serves it from the plan cache, and
 :func:`run_schedule_compiled` executes each substage as a handful of numpy
-operations — one vectorized probe, a gather of the executed pairs, one
+operations — one vectorized probe, one compress that picks the executed
+pairs' rows out of the substage's ``(P, 2)`` pair array, a gather, one
 batched compare-split, one scatter — with the paper's comparison/traffic
-accounting computed in *closed form* per substage.  No per-processor
-Python object exists between substages.
+accounting computed in *closed form* per substage.  The gather, the
+scatter and the mirror swaps move whole rows as records, one fixed-size
+item per row of the key matrix, which costs about half a 2-D fancy write
+for small rows and ties for big ones.  No per-processor Python object
+exists between substages.
 
 A compare-split only has to leave the ``k`` smallest keys of a pair's
 union on the min side, and a probe only reads a block's extremes.  The
@@ -110,8 +114,13 @@ Exactness is the contract, not an aspiration:
   clock** are identical on every route and to the ``loop`` spec —
   bit-for-bit, including IEEE-754 float accumulation order (the executor
   replicates the interpreter's per-node addition sequence exactly);
+* the one exception is the sign of zero: ``-0.0`` and ``0.0`` compare
+  equal, and on float64 rows numpy's sort of up to 256 keys may turn one
+  into the other, on every tier, so sorted output holding both is equal
+  to ``loop``'s by value, not always by bytes;
 * the parity suite in ``tests/kernels/`` asserts all of the above across
-  dimensions, fault plans, block skews, and plan-cache warm replay.
+  dimensions, fault plans, block skews, and plan-cache warm replay; it
+  compares inputs with both zeros by value (``same_bytes=False``).
 """
 
 from __future__ import annotations
@@ -392,22 +401,25 @@ def _in_chunks(pool, chunks: int, count: int, fn, *args) -> None:
             raise err
 
 
-def _split_pairs(lo, hi, key_matrix, rows, pairs, lo_max, k) -> None:
+def _split_pairs(lo, hi, records, rows, gathered, lo_max, k) -> None:
     """Compare-split executed pairs ``lo..hi-1``, allocating nothing: they
-    own ``rows[2lo:2hi]``, ``pairs[2lo:2hi]`` and ``lo_max[lo:hi]``.
+    own ``rows[2lo:2hi]``, ``gathered[2lo:2hi]`` and ``lo_max[lo:hi]``.
 
-    ``lo_max`` is None in the sorted-rows regime: each union is sorted
-    whole and no extreme is tracked."""
+    ``records`` is the key matrix with one record per row, ``gathered``
+    the ``(2 * pairs, k)`` scratch buffer.  ``lo_max`` is None in the
+    sorted-rows regime: each union is sorted whole and no extreme is
+    tracked."""
     idx = rows[2 * lo:2 * hi]
-    own = pairs[2 * lo:2 * hi]
-    np.take(key_matrix, idx, axis=0, out=own, mode="clip")
+    own = gathered[2 * lo:2 * hi]
+    own_records = own.view(records.dtype).reshape(-1)
+    np.take(records, idx, out=own_records, mode="clip")
     union = own.reshape(hi - lo, 2 * k)
     if lo_max is None:
         union.sort(axis=1)
     else:
         union.partition(k, axis=1)
         np.max(union[:, :k], axis=1, out=lo_max[lo:hi])
-    key_matrix[idx] = own
+    records[idx] = own_records
 
 
 def _sort_rows(lo, hi, key_matrix) -> None:
@@ -533,19 +545,21 @@ def run_schedule_compiled(runs, exact_counts: bool = False):
             sort (via the batched vectorized heapsort) instead of the
             paper's closed-form worst case.
 
-    Programs bound to one skeleton share every row array, so the ``B``
+    Programs bound to one skeleton share every pair array, so the ``B``
     runs' ``(W, k)`` key matrices are stacked into one ``(B * W, k)``
-    matrix, run ``b``'s rows offset by ``b * W``, and each substage makes
-    one probe, one gather, one compare-split and one scatter over every
-    run's pairs.  Rows of two runs never meet, so each run's rows go
-    through exactly the operations its own call would make.  Only the
+    matrix, run ``b``'s rows offset by ``b * W`` (added to the substage's
+    ``(P, 2)`` pairs once), and each substage makes one probe, one
+    gather, one compare-split and one scatter over every run's pairs.
+    Rows of two runs never meet, so each run's rows go through exactly
+    the operations its own call would make.  Only the
     accounting is per run: its own phase records, clock, ``sort.*``
     counters, tracer report, final blocks and ``sorted_keys`` buffer.  A
     call with one run does no offset arithmetic.
 
     The stacked matrix holds each run's int32 image
-    (:func:`_key_image`) when every run has one, and its float64 keys
-    otherwise; the final rows are decoded run by run.
+    (:func:`_key_image`) when every run has one, and its padded float64
+    keys (:func:`repro.core.blocks.pad_and_chunk`) otherwise; the final
+    rows are decoded run by run.
 
     Returns:
         One ``(sorted_keys, machine, block_size, program)`` per run, in
@@ -555,17 +569,18 @@ def run_schedule_compiled(runs, exact_counts: bool = False):
         :class:`~repro.core.schedule.CompiledSchedule` (its
         ``output_order`` places the result).
     """
-    from repro.core.blocks import pad_and_chunk, strip_padding
+    # Through the module, so that pad_and_chunk and strip_padding are
+    # looked up at call time.
+    from repro.core import blocks as key_blocks
 
     batch = len(runs)
     machine, program, _ = runs[0]
     par = machine.params
     t_compare = par.t_compare
     workers = program.workers
-    keys_of = [np.asarray(keys, dtype=float) for _, _, keys in runs]
+    keys_of, blocks = zip(*(key_blocks.checked_keys(keys, p.workers)
+                            for _, p, keys in runs))
     sizes = [int(keys_arr.size) for keys_arr in keys_of]
-    matrices, blocks = zip(*(pad_and_chunk(keys_arr, p.workers)
-                             for keys_arr, (_, p, _) in zip(keys_of, runs)))
     k = int(blocks[0])
     batched = batch > 1
     if batched:
@@ -575,7 +590,8 @@ def run_schedule_compiled(runs, exact_counts: bool = False):
                 for (m, p, _), block in zip(runs, blocks)):
             raise ValueError("a batch of runs needs one skeleton, one block size "
                              "and one set of machine parameters")
-        offsets = (np.arange(batch, dtype=np.intp) * workers)[:, None]
+        # Run b's pairs are entries b * P .. (b + 1) * P - 1.
+        offsets = (np.arange(batch, dtype=np.intp) * workers)[:, None, None]
     machines = [run[0] for run in runs]
     programs = [run[1] for run in runs]
     # The tracer hears of the phases and the sort.* counters once, after
@@ -594,8 +610,9 @@ def run_schedule_compiled(runs, exact_counts: bool = False):
     inj = active_comparison()
     # The compare-split regime (module docstring), fixed for the call.
     sorted_rows = 0 < k <= _SORTED_ROWS_MAX_K and inj is None
-    # The int32 image (module docstring), encoded from each run's keys:
-    # without a memory injector they are its padded matrix's real keys.
+    # The int32 image (module docstring), encoded from each run's checked
+    # keys; only a call that stays on float64 builds padded float
+    # matrices, and a memory injector corrupts those, so it keeps one.
     tables = None
     if k > 0 and inj is None and active_memory() is None:
         images = []
@@ -608,6 +625,8 @@ def run_schedule_compiled(runs, exact_counts: bool = False):
             matrices = [image.reshape(workers, k) for image, _ in images]
             tables = [table for _, table in images]
         del images
+    if tables is None:
+        matrices = [key_blocks.pad_and_chunk(keys_arr, workers)[0] for keys_arr in keys_of]
     del keys_of
     key_matrix = np.concatenate(matrices) if batched else matrices[0]
     del matrices
@@ -643,6 +662,12 @@ def run_schedule_compiled(runs, exact_counts: bool = False):
         else:
             row_min = key_matrix.min(axis=1)
             row_max = key_matrix.max(axis=1)
+        # Whole rows move as records, one per row: a fancy write of
+        # records costs about half the 2-D one for small rows and ties
+        # for big ones.  Taken after the local sort, since
+        # ``heapsort_batch`` returns a new matrix.
+        record = np.dtype((np.void, k * key_matrix.itemsize))
+        records = key_matrix.view(record).reshape(-1)
     for b in range(batch):
         _close_phase(machines[b], record_type("local-heapsort", float(durations[b]),
                                               comparisons[b]))
@@ -652,9 +677,10 @@ def run_schedule_compiled(runs, exact_counts: bool = False):
     # measurable at 100+ substages): an executed pair's two rows are
     # gathered side by side, so row t of its ``(executed, 2k)`` view is
     # pair t's union.
-    max_pairs = batch * max((int(s.a_rows.size) for s in program.substages), default=0)
+    max_pairs = batch * max((len(s.pairs) for s in program.substages), default=0)
     if max_pairs and k > 0:
         buf = np.empty((2 * max_pairs, k), dtype=key_matrix.dtype)
+        buf_records = buf.view(record).reshape(-1)
     # Whether to split across cores is decided once per call: a call too
     # small for two chunks never looks up the budget or the helper pool
     # (nor imports repro.parallel, which pulls in multiprocessing).
@@ -668,21 +694,19 @@ def run_schedule_compiled(runs, exact_counts: bool = False):
         pool = _helper_pool(threads - 1)
         lo_max_buf = np.empty(max_pairs, dtype=key_matrix.dtype)
     for index, sub in enumerate(program.substages):
-        pair_count = int(sub.a_rows.size)
+        pair_count = len(sub.pairs)
         if batched:
-            # Run b's pairs are entries b * P .. (b + 1) * P - 1.
-            a_rows = (sub.a_rows + offsets).ravel()
-            b_rows = (sub.b_rows + offsets).ravel()
+            pairs = (sub.pairs + offsets).reshape(-1, 2)
             subs = [p.substages[index] for p in programs]
         else:
-            a_rows, b_rows, subs = sub.a_rows, sub.b_rows, (sub,)
+            pairs, subs = sub.pairs, (sub,)
         if sub.kind == "mirror":
             if pair_count and k > 0:
                 # Fancy indexing on the right copies before the write, so
                 # one assignment per array swaps the rows in place.
-                ab = np.concatenate((a_rows, b_rows))
-                ba = np.concatenate((b_rows, a_rows))
-                key_matrix[ab] = key_matrix[ba]
+                ab = pairs.reshape(-1)
+                ba = pairs[:, ::-1].reshape(-1)
+                records[ab] = records[ba]
                 if not sorted_rows:
                     row_min[ab] = row_min[ba]
                     row_max[ab] = row_max[ba]
@@ -704,57 +728,59 @@ def run_schedule_compiled(runs, exact_counts: bool = False):
         # Probe: each side ships one boundary key (its sorted block's last
         # or first key: a column of a sorted row, or a tracked extreme);
         # the pair skips the block exchange when the blocks are already
-        # correctly split.
-        a_last = row_max[a_rows]
-        b_first = row_min[b_rows]
-        skip = a_last <= b_first
+        # correctly split, and runs it when ``a_last > b_first``.
+        a_last = row_max[pairs[:, 0]]
+        b_first = row_min[pairs[:, 1]]
+        live = a_last > b_first
         if inj is not None:
-            skip = skip ^ inj.flip_pairs(a_last, b_first, kind="probe")
-        live = ~skip
+            live ^= inj.flip_pairs(a_last, b_first, kind="probe")
         if batched:
             live_by_run = live.reshape(batch, pair_count)
-            executed_by_run = live_by_run.sum(axis=1).tolist()
+            executed_by_run = np.count_nonzero(live_by_run, axis=1).tolist()
             executed = sum(executed_by_run)
         else:
-            executed = int(live.sum())
+            executed = int(np.count_nonzero(live))
         if executed:
-            live_a = a_rows[live]
-            live_b = b_rows[live]
-            rows = np.stack((live_a, live_b), axis=1).reshape(-1)
-            pairs = buf[:2 * executed]
+            # The executed pairs' rows, interleaved: pair t's min-keeper
+            # at 2t, its max-keeper at 2t + 1, as the buffer holds them.
+            rows = np.compress(live, pairs, axis=0).reshape(-1)
+            gathered = buf[:2 * executed]
+            gathered_records = buf_records[:2 * executed]
+            if not sorted_rows:
+                live_a, live_b = rows[0::2], rows[1::2]
             if inj is not None:
                 # ``mode="clip"``: the default ``"raise"`` buffers ``out``;
                 # program indices are in range by construction.
-                np.take(key_matrix, rows, axis=0, out=pairs, mode="clip")
+                np.take(records, rows, out=gathered_records, mode="clip")
                 # Flip decisions depend on where keys sit in sorted
                 # blocks, so the lying duel runs on sorted rows exactly as
                 # the interpreter's does.
-                pairs.sort(axis=1)
-                a = pairs[0::2]
-                b_rev = pairs[1::2, ::-1]
+                gathered.sort(axis=1)
+                a = gathered[0::2]
+                b_rev = gathered[1::2, ::-1]
                 le = (a <= b_rev) ^ inj.flip_pairs(a, b_rev)
                 lo = np.where(le, a, b_rev)
                 hi = np.where(le, b_rev, a)
-                pairs[0::2] = lo
-                pairs[1::2] = hi
+                gathered[0::2] = lo
+                gathered[1::2] = hi
                 lo_min, lo_max = lo.min(axis=1), lo.max(axis=1)
                 hi_min, hi_max = hi.min(axis=1), hi.max(axis=1)
-                key_matrix[rows] = pairs
+                records[rows] = gathered_records
             else:
                 # A compare-split keeps the k smallest keys of the union
                 # on the min side: a merge is not needed.  Small blocks
                 # sort the union, which keeps both rows sorted; big ones
                 # select.
-                union = pairs.reshape(executed, 2 * k)
+                union = gathered.reshape(executed, 2 * k)
                 chunks = min(threads, executed, 2 * k * executed // min_chunk)
                 if chunks > 1:
                     lo_max = None if sorted_rows else lo_max_buf[:executed]
                     _in_chunks(pool, chunks, executed, _split_pairs,
-                               key_matrix, rows, pairs, lo_max, k)
+                               records, rows, gathered, lo_max, k)
                 else:
                     # _split_pairs's steps, inline: calling it here made
                     # 2,048-key sorts about 10% slower.
-                    np.take(key_matrix, rows, axis=0, out=pairs, mode="clip")
+                    np.take(records, rows, out=gathered_records, mode="clip")
                     if sorted_rows:
                         union.sort(axis=1)
                     else:
@@ -763,7 +789,7 @@ def run_schedule_compiled(runs, exact_counts: bool = False):
                         # most rows but not all: partition only orders
                         # around the kth key.
                         lo_max = union[:, :k].max(axis=1)
-                    key_matrix[rows] = pairs
+                    records[rows] = gathered_records
                 if not sorted_rows:
                     lo_min = np.minimum(row_min[live_a], row_min[live_b])
                     hi_max = np.maximum(row_max[live_a], row_max[live_b])
@@ -785,7 +811,7 @@ def run_schedule_compiled(runs, exact_counts: bool = False):
             else:
                 hops = sub.hops
                 live_hops = hops[live]
-                skip_h = int(hops[skip].max()) if skipped else 0
+                skip_h = int(hops[~live].max()) if skipped else 0
                 live_h = int(live_hops.max()) if executed else 0
                 hop_sum = int(hops.sum())
                 live_hop_sum = int(live_hops.sum())
@@ -855,6 +881,6 @@ def run_schedule_compiled(runs, exact_counts: bool = False):
             rows = _decode(rows, tables[b])
         for t, addr in enumerate(program.output_order):
             machine.blocks[addr] = rows[t]
-        gathered = rows.reshape(-1).copy()
-        results.append((strip_padding(gathered, sizes[b]), machine, k, program))
+        flat = rows.reshape(-1).copy()
+        results.append((key_blocks.strip_padding(flat, sizes[b]), machine, k, program))
     return results

@@ -234,7 +234,7 @@ def assert_same_program(direct: CompiledSchedule, reference: CompiledSchedule) -
         (s.label, s.kind) for s in reference.substages
     ]
     for got, want in zip(direct.substages, reference.substages):
-        for field in ("a_rows", "b_rows", "hops"):
+        for field in ("pairs", "a_rows", "b_rows", "hops"):
             g, w = getattr(got, field), getattr(want, field)
             assert (g.dtype, g.shape) == (w.dtype, w.shape), (got.label, field)
             np.testing.assert_array_equal(g, w, err_msg=f"{got.label} {field}")
@@ -313,7 +313,7 @@ class TestDirectBuilders:
     def test_plans_with_equal_m_share_one_skeleton(self, monkeypatch):
         """Two Q10 plans with the same m: the second program is the first
         one's substages, except that its inter-subcube substages are
-        charged anew over the skeleton's own row arrays."""
+        charged anew over the skeleton's own pair arrays."""
         monkeypatch.setattr(PLAN_CACHE, "enabled", True)
         first_sel, second_sel = (plan_partition(10, FaultSet(10, faults))[1]
                                  for faults in ([3, 9, 300], [17, 40, 1000]))
@@ -327,7 +327,7 @@ class TestDirectBuilders:
             if a.label.startswith("inter"):
                 inter += 1
                 assert b is not a and b.hops is not a.hops
-                assert b.a_rows is template.a_rows and b.b_rows is template.b_rows
+                assert b.pairs is template.pairs
             else:
                 assert b is a is template
         assert inter == first_sel.m * (first_sel.m + 1) // 2
@@ -404,3 +404,62 @@ class TestDirectBuilders:
         _, sel = plan_partition(5, PAPER_FAULTS)
         assert_same_program(build_ft_program(sel),
                             lower_schedule(build_ft_schedule(sel), hamming_distance))
+
+
+def _owner(arr: np.ndarray) -> np.ndarray:
+    """The array that owns ``arr``'s memory."""
+    while arr.base is not None:
+        arr = arr.base
+    return arr
+
+
+def _programs_of_every_builder():
+    """``(builder, program)`` for each of the three builders, on plans with
+    and without mirror substages (empty ones at s = 1 included)."""
+    for n, faults in ((5, PAPER_FAULTS), (4, [3, 9, 14]), (2, [0, 1])):
+        _, sel = plan_partition(n, faults)
+        for full_sort in (False, True):
+            yield "build_ft_program", build_ft_program(sel, full_sort=full_sort)
+            yield "lower_schedule", lower_schedule(build_ft_schedule(sel, full_sort=full_sort))
+    for faulty in (None, 5):
+        yield "build_plain_program", build_plain_program(4, faulty)
+        yield "lower_schedule", lower_schedule(build_plain_schedule(4, faulty))
+
+
+class TestPairStorage:
+    """Each substage stores its pairs once, as one read-only ``(P, 2)``
+    intp array whose columns are ``a_rows`` and ``b_rows``."""
+
+    def test_every_builder_stores_one_pair_array(self):
+        builders = set()
+        for builder, program in _programs_of_every_builder():
+            builders.add(builder)
+            for sub in program.substages:
+                pairs = sub.pairs
+                assert pairs.dtype == np.intp and pairs.shape == (len(pairs), 2), sub.label
+                assert pairs.flags.c_contiguous and not pairs.flags.writeable, sub.label
+                for column, side in ((sub.a_rows, 0), (sub.b_rows, 1)):
+                    assert _owner(column) is _owner(pairs), (builder, sub.label)
+                    assert np.shares_memory(column, pairs) or not pairs.size
+                    np.testing.assert_array_equal(column, pairs[:, side])
+                # The pair array owns no more than its own pairs: no second
+                # copy of the rows hides behind it.
+                assert _owner(pairs).nbytes == pairs.nbytes, (builder, sub.label)
+        assert builders == {"build_ft_program", "build_plain_program", "lower_schedule"}
+
+    def test_bound_programs_share_the_skeletons_pair_arrays(self, monkeypatch):
+        """Two plans bound to one skeleton: every substage of both
+        programs, the charged inter-subcube ones included, holds the
+        skeleton's own pair array."""
+        monkeypatch.setattr(PLAN_CACHE, "enabled", True)
+        sels = [plan_partition(8, FaultSet(8, faults))[1]
+                for faults in ([3, 9, 200], [17, 40, 100])]
+        assert sels[0].m == sels[1].m
+        programs = [build_ft_program(sel) for sel in sels]
+        skeleton = cached_program_skeleton(("ft", 8, sels[0].m, False),
+                                           lambda: pytest.fail("skeleton not cached"))
+        assert {sub.kind for sub in skeleton.substages} == {"cx", "mirror"}
+        for program in programs:
+            assert program.skeleton is skeleton
+            for got, template in zip(program.substages, skeleton.substages, strict=True):
+                assert got.pairs is template.pairs, got.label

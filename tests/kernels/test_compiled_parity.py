@@ -71,6 +71,8 @@ def _assert_identical(a, b, same_bytes=True):
     assert len(a.machine.phases) == len(b.machine.phases)
     for ra, rb in zip(a.machine.phases, b.machine.phases):
         assert _record_tuple(ra) == _record_tuple(rb)
+        # Same types too: a numpy integer among them would not serialize.
+        assert list(map(type, _record_tuple(ra))) == list(map(type, _record_tuple(rb)))
     for addr in a.output_order:
         np.testing.assert_array_equal(
             a.machine.get_block(addr), b.machine.get_block(addr)
@@ -232,10 +234,10 @@ def _spy_chunks(monkeypatch) -> list:
     chunks = []
     real = compiled._split_pairs
 
-    def spy(lo, hi, key_matrix, rows, pairs, lo_max, k):
+    def spy(lo, hi, records, rows, gathered, lo_max, k):
         chunks.append((threading.current_thread().name, lo_max is None,
-                       key_matrix.dtype.name))
-        real(lo, hi, key_matrix, rows, pairs, lo_max, k)
+                       gathered.dtype.name))
+        real(lo, hi, records, rows, gathered, lo_max, k)
 
     monkeypatch.setattr(compiled, "_split_pairs", spy)
     return chunks
@@ -418,6 +420,92 @@ class TestKeyPaths:
         assert chunks and {dtype for _, _, dtype in chunks} == {dtype}
         for single, sort, out in zip(alone, planned, outs):
             _assert_identical(single, sort.result(*out))
+
+
+class TestRecordWrites:
+    """The substage loop writes whole rows as records, one per row of the
+    key matrix, and picks the executed pairs' rows with one compress of
+    the program's ``(P, 2)`` pair array.  Pinned against ``loop``: the
+    smallest records, no keys at all, a stacked batch with mirror
+    substages, and exact counts, whose heapsort returns a new matrix the
+    record view must follow."""
+
+    @pytest.mark.parametrize("family,itemsize", [("ints", 4), ("floats", 4), ("neg-zero", 8)])
+    def test_one_key_blocks(self, family, itemsize, monkeypatch):
+        """Q5 with the paper's faults has 24 workers, so 24 keys make
+        1-key blocks: records of one int32 (cast or ranks) or one float64
+        (a ``-0.0`` keeps the call there)."""
+        keys = _family_keys(family, 5, 24)
+        seen = []
+        real = compiled._split_pairs
+
+        def spy(lo, hi, records, *rest):
+            seen.append(records.dtype.itemsize)
+            real(lo, hi, records, *rest)
+
+        monkeypatch.setattr(compiled, "_split_pairs", spy)
+        monkeypatch.setattr(compiled, "_MIN_CHUNK_BYTES", 1)
+        monkeypatch.setattr(parallel, "_kernel_threads", 2)
+        for exact in (False, True):
+            fast, fast_counts = _traced_sort(keys, 5, PAPER_FAULTS, "compiled", exact)
+            loop, loop_counts = _traced_sort(keys, 5, PAPER_FAULTS, "loop", exact)
+            assert fast.block_size == 1
+            _assert_identical(loop, fast, same_bytes=family != "neg-zero")
+            assert fast_counts == loop_counts
+        assert seen and set(seen) == {itemsize}
+
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_no_keys(self, exact):
+        """No keys: every cx substage is an empty barrier and every
+        mirror substage moves nothing, alone and stacked."""
+        fast = fault_tolerant_sort([], 5, PAPER_FAULTS, exact_counts=exact)
+        loop = fault_tolerant_sort([], 5, PAPER_FAULTS, exact_counts=exact, kernels="loop")
+        assert fast.sorted_keys.size == 0 and fast.block_size == 0
+        _assert_identical(loop, fast)
+        plans = [[a ^ shift for a in PAPER_FAULTS] for shift in (0, 7)]
+        planned = [plan_sort([], 5, faults) for faults in plans]
+        outs = compiled.run_schedule_compiled(
+            [(sort.machine, sort.program, sort.keys) for sort in planned], exact_counts=exact)
+        for faults, sort, out in zip(plans, planned, outs):
+            loop = fault_tolerant_sort([], 5, faults, exact_counts=exact, kernels="loop")
+            _assert_identical(loop, sort.result(*out))
+
+    @pytest.mark.parametrize("block", [20, 140])
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_three_run_batch_with_mirror_substages(self, block, exact):
+        """Three runs bound to the paper plan's skeleton, stacked: the
+        job axis offsets the pair array, and each run's mirror swaps move
+        its own rows only.  Each run equals ``loop``."""
+        _, sel = plan_partition(5, PAPER_FAULTS)
+        assert build_ft_schedule(sel).mirror_pair_count() > 0
+        rng = np.random.default_rng(block)
+        requests = [(rng.integers(0, 10**6, 24 * block - run).astype(float),
+                     [a ^ shift for a in PAPER_FAULTS])
+                    for run, shift in enumerate((0, 7, 21))]
+        planned = [plan_sort(keys, 5, faults) for keys, faults in requests]
+        assert len({sort.group for sort in planned}) == 1
+        outs = compiled.run_schedule_compiled(
+            [(sort.machine, sort.program, sort.keys) for sort in planned], exact_counts=exact)
+        for (keys, faults), sort, out in zip(requests, planned, outs):
+            loop = fault_tolerant_sort(keys, 5, faults, exact_counts=exact, kernels="loop")
+            _assert_identical(loop, sort.result(*out))
+
+    @pytest.mark.parametrize("block,family", [
+        (17, "ints"), (17, "floats"), (200, "ints"), (200, "floats")])
+    def test_exact_counts_follow_the_heapsorted_matrix(self, block, family, monkeypatch):
+        """``exact_counts=True``: ``heapsort_batch`` returns a new key
+        matrix, and every record write must land in it.  Both regimes,
+        on int32 and float64 keys, with and without the split."""
+        keys = _family_keys(family, block, 24 * block - 1)
+        loop, loop_counts = _traced_sort(keys, 5, PAPER_FAULTS, "loop", True)
+        for threads in (1, 2):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(compiled, "_MIN_CHUNK_BYTES", 1)
+                mp.setattr(parallel, "_kernel_threads", threads)
+                fast, fast_counts = _traced_sort(keys, 5, PAPER_FAULTS, "compiled", True)
+            assert fast.block_size == block
+            _assert_identical(loop, fast)
+            assert fast_counts == loop_counts
 
 
 #: 2^18 keys on Q6 with faults {3, 9}: 62 rows of 4,229 keys, so every

@@ -21,7 +21,11 @@ class TestDocumentsExist:
     def test_design_covers_every_subpackage(self):
         design = (REPO / "DESIGN.md").read_text()
         src = REPO / "src" / "repro"
-        for pkg in sorted(p.name for p in src.iterdir() if p.is_dir()):
+        # Subpackages only: bytecode caches (``__pycache__``) are
+        # directories too, and appear wherever Python writes bytecode.
+        packages = sorted(p.name for p in src.iterdir() if (p / "__init__.py").is_file())
+        assert packages
+        for pkg in packages:
             assert f"repro.{pkg}" in design or f"{pkg}/" in design, (
                 f"DESIGN.md does not mention subpackage {pkg}"
             )
